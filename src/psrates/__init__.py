@@ -72,8 +72,6 @@ from .simulator import (
     SimResult,
     pairwise_union_bound,
     run,
-    run_classical,
-    run_layered_ps,
 )
 
 __version__ = "0.1.0"

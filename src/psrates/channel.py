@@ -143,12 +143,6 @@ def maxwell_boltzmann_pmf(alphabet, lam):
     return Pmf(alphabet, p / p.sum())
 
 
-def output_pmf(p_x, ch):
-    """Distribution of the channel output under input distribution p_x."""
-    _check_input(p_x, ch)
-    return p_x.probs @ ch.w
-
-
 def posterior(p_x, ch):
     """Posterior matrix P(x|y), one column per output symbol.
 
@@ -218,16 +212,12 @@ def icm_mixture(p_vec, ch_vec):
     if m_out != m:
         raise ValueError("input and output products must have the same length")
     nx, ny = len(in_base), len(out_base)
-    in_pos = np.array([[in_base.index(s[j]) for s in ch_vec.input.symbols] for j in range(m)])
-    out_pos = np.array([[out_base.index(s[j]) for s in ch_vec.output.symbols] for j in range(m)])
-    joint_vec = p_vec.probs[:, None] * ch_vec.w
-    mix = np.zeros((nx, ny))
-    for j in range(m):
-        for a in range(nx):
-            sel_in = in_pos[j] == a
-            for b in range(ny):
-                sel_out = out_pos[j] == b
-                mix[a, b] += joint_vec[np.ix_(sel_in, sel_out)].sum() / m
+    # lexicographic product order makes axis j the j-th tuple position
+    joint = (p_vec.probs[:, None] * ch_vec.w).reshape((nx,) * m + (ny,) * m)
+    mix = sum(
+        joint.sum(axis=tuple(k for k in range(2 * m) if k not in (j, m + j)))
+        for j in range(m)
+    ) / m
     p_x = mix.sum(axis=1)
     w = np.full((nx, ny), 1.0 / ny)
     pos = p_x > 0

@@ -362,10 +362,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

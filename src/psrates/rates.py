@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Pmf, binary_entropy, entropy, uniform_pmf
-from .metric import Metric, posterior_metric
+from .channel import _product_base, bit_marginal, icm_mixture
+from .core import binary_entropy, entropy
+from .metric import exp_transform, power_transform
 
 PERSPECTIVE_TOL = 1e-10
 
@@ -132,8 +133,6 @@ def bmd_rate(p_labels, ch):
     When the bit levels are independent the pre-clamp BMD rate equals the
     sum of per-level mutual informations, which is asserted.
     """
-    from .channel import bit_marginal
-
     m = ch.input.label_length
     h_b = entropy(p_labels)
     cond, mi_sum = [], 0.0
@@ -160,8 +159,6 @@ def bmd_rate(p_labels, ch):
 def icm_rate(p_vec, ch_vec):
     """Interleaved coded modulation rate [H(X-vector) - m H(X|Y)]^+ using
     the time-averaged scalar mixture pair."""
-    from .channel import icm_mixture, _product_base
-
     _, m = _product_base(ch_vec.input)
     p_mix, ch_mix = icm_mixture(p_vec, ch_vec)
     return max(0.0, entropy(p_vec) - m * conditional_entropy(p_mix, ch_mix))
@@ -184,24 +181,18 @@ def _gmi_integrand(p_x, ch, q, s):
     return float(val / math.log(2))
 
 
-def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3, grid_points=64, refine_iters=40):
-    """Generalized mutual information: maximize the s-family over a bracket.
+def _maximize_log_s(f, s_min, s_max, grid_points, refine_iters):
+    """Maximizer of f over [s_min, s_max], which need not be unimodal.
 
-    Uses a log-spaced grid followed by golden-section refinement and a final
-    parabolic fit, since unimodality in s is not guaranteed in general.
-    Returns (rate, maximizing s).
+    Evaluates f on a log-spaced grid, then refines around the best grid
+    point by golden-section search in log s, for relative accuracy.
     """
     if not 0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
-    _check_metric(ch, q)
-    f = lambda s: _gmi_integrand(p_x, ch, q, s)
     grid = np.logspace(math.log10(s_min), math.log10(s_max), grid_points)
-    vals = [f(s) for s in grid]
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    # golden section in log-s for relative accuracy
-    a, b = math.log(lo), math.log(hi)
+    i = int(np.argmax([f(s) for s in grid]))
+    a = math.log(grid[max(i - 1, 0)])
+    b = math.log(grid[min(i + 1, grid_points - 1)])
     invphi = (math.sqrt(5) - 1) / 2
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(math.exp(c)), f(math.exp(d))
@@ -214,8 +205,19 @@ def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3, grid_points=64, refine_iters=40):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(math.exp(d))
-    s_star = math.exp((a + b) / 2)
-    # one parabolic refinement around the flat maximum
+    return math.exp((a + b) / 2)
+
+
+def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3, grid_points=64, refine_iters=40):
+    """Generalized mutual information: maximize the s-family over a bracket.
+
+    The maximizer is the shared log-grid plus golden-section search, followed
+    by one parabolic step around the flat maximum. Returns (rate, maximizing
+    s); raises ValueError unless 0 < s_min < s_max.
+    """
+    _check_metric(ch, q)
+    f = lambda s: _gmi_integrand(p_x, ch, q, s)
+    s_star = _maximize_log_s(f, s_min, s_max, grid_points, refine_iters)
     h = 1e-4 * s_star
     f0, fm, fp = f(s_star), f(s_star - h), f(s_star + h)
     denom = fm - 2 * f0 + fp
@@ -278,8 +280,6 @@ def binary_hard_decision_rate(p_labels, ch, quants):
     eps is the level-averaged bit error probability Pr(B != B-hat); the
     returned tuple is (rate, eps).
     """
-    from .channel import bit_marginal
-
     m = ch.input.label_length
     if len(quants) != m:
         raise ValueError(f"need {m} quantizers, got {len(quants)}")
@@ -325,10 +325,9 @@ def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3,
 
     family "power" sweeps q^s, family "exp" sweeps exp(s*q) (the right
     family for 0/1 Hamming metrics, which the power map leaves unchanged).
-    Returns (RateReport at the best s, s_star).
+    Returns (RateReport at the best s, s_star); raises ValueError unless
+    0 < s_min < s_max after the exp family's overflow cap on s_max.
     """
-    from .metric import exp_transform, power_transform
-
     if family == "power":
         make = lambda s: power_transform(q, s)
     elif family == "exp":
@@ -344,27 +343,5 @@ def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3,
             return -math.inf
         return rep.r_ps_by_perspective[0]
 
-    grid = np.logspace(math.log10(s_min), math.log10(s_max), grid_points)
-    vals = [pre_clamp(s) for s in grid]
-    i = int(np.argmax(vals))
-    a = math.log(grid[max(i - 1, 0)])
-    b = math.log(grid[min(i + 1, grid_points - 1)])
-    invphi = (math.sqrt(5) - 1) / 2
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = pre_clamp(math.exp(c)), pre_clamp(math.exp(d))
-    for _ in range(refine_iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = pre_clamp(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = pre_clamp(math.exp(d))
-    s_star = math.exp((a + b) / 2)
+    s_star = _maximize_log_s(pre_clamp, s_min, s_max, grid_points, refine_iters)
     return achievable_transmission_rate(p_x, ch, make(s_star)), s_star
-
-
-def optimal_uncertainty(p_x, ch):
-    """Minimum uncertainty over all metrics, attained by the posterior."""
-    return uncertainty(p_x, ch, posterior_metric(p_x, ch))

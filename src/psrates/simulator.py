@@ -1,9 +1,10 @@
 """Exhaustive desk-scale random-coding experiment for layered shaping.
 
-Each trial draws a fresh codebook, encodes one message, transmits it through
-the channel and decodes by exhaustive metric-product maximization over the
-whole codebook. The feasibility cap n * r_c <= 22 keeps full fixture suites
-in the minutes range.
+`run` is the single entry point for both modes. Each trial draws a fresh
+codebook (uniform for layered-ps, iid from P_X for classical), encodes one
+message, transmits it through the channel and decodes by exhaustive
+metric-product maximization over the whole codebook. The feasibility cap
+n * r_c <= 22 keeps full fixture suites in the minutes range.
 
 Decoder ties: the transmitted index counts as correctly decoded only when it
 is the unique maximizer; ties are conservative errors, which keeps the
@@ -115,19 +116,8 @@ def pairwise_union_bound(pair, q, r_c):
     return min(1.0, 2.0 ** (-n * (t_hat - r_c)))
 
 
-def run_layered_ps(cfg):
-    if cfg.mode != "layered-ps":
-        raise ValueError("config mode is not layered-ps")
-    return _run(cfg)
-
-
-def run_classical(cfg):
-    if cfg.mode != "classical":
-        raise ValueError("config mode is not classical")
-    return _run(cfg)
-
-
-def _run(cfg):
+def run(cfg):
+    """Run cfg.trials independent trials in the configured mode."""
     nx = len(cfg.p_x.alphabet)
     n_c, n_u, n_v = cfg.codebook_sizes()
     realized_r_c = math.log2(n_c) / cfg.n
@@ -197,10 +187,3 @@ def _summarize(cfg, records, r_c, r_tx, n_c, n_u):
         message_errors=msg_errors,
         per_trial=tuple(records),
     )
-
-
-def run(cfg):
-    """Dispatch on the configured mode."""
-    if cfg.mode == "layered-ps":
-        return run_layered_ps(cfg)
-    return run_classical(cfg)

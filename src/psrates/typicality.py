@@ -52,22 +52,21 @@ def is_typical(x_seq, spec):
     seq = list(x_seq)
     if len(seq) != spec.n:
         raise ValueError(f"sequence length {len(seq)} != {spec.n}")
-    symbols = spec.p_x.alphabet.symbols
-    counts = {s: 0 for s in symbols}
+    index = {s: i for i, s in enumerate(spec.p_x.alphabet.symbols)}
+    counts = [0] * len(index)
     for x in seq:
-        if x not in counts:
+        if x not in index:
             raise ValueError(f"symbol {x!r} not in alphabet")
-        counts[x] += 1
-    n, eps = spec.n, spec.eps_typ
-    for s, p in zip(symbols, spec.p_x.probs):
-        f = counts[s] / n
-        if not (1 - eps) * p <= f <= (1 + eps) * p:
-            return False
-    return True
+        counts[index[x]] += 1
+    return is_typical_counts(counts, spec)
 
 
 def is_typical_counts(counts, spec):
-    """Membership test on a count vector (same comparisons as is_typical)."""
+    """True iff every count k_a has k_a / n within (1 +- eps) * P_X(a).
+
+    counts[a] counts the a-th alphabet symbol. This is the one membership
+    predicate; is_typical counts a sequence's symbols and delegates here.
+    """
     n, eps = spec.n, spec.eps_typ
     for k, p in zip(counts, spec.p_x.probs):
         if not (1 - eps) * p <= k / n <= (1 + eps) * p:

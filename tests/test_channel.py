@@ -211,20 +211,26 @@ class TestIcmMixture:
         assert np.allclose(p_mix.probs, marg, atol=1e-12)
         assert np.allclose(ch_mix.w, base_w, atol=1e-12)
 
-    def test_direct_summation_oracle(self):
+    @pytest.mark.parametrize("m, nx, ny, same_output", [
+        (1, 2, 3, False),
+        (2, 2, 2, True),
+        (2, 3, 2, False),
+        (3, 2, 3, False),
+    ], ids=["m1-2x3", "m2-2x2-diag", "m2-3x2", "m3-2x3"])
+    def test_direct_summation_oracle(self, m, nx, ny, same_output):
         rng = np.random.default_rng(11)
-        ch = self._vector_channel(rng, same_output=True)
+        ch = self._vector_channel(rng, m, nx, ny, same_output)
         p = Pmf(ch.input, rng.dirichlet(np.ones(len(ch.input))))
         p_mix, ch_mix = icm_mixture(p, ch)
         # term-by-term: P_X(a) p(b|a) = sum_j (1/m) P_Xj(a) p_Yj|Xj(b|a)
         joint_vec = p.probs[:, None] * ch.w
-        for a in range(2):
-            for b in range(2):
+        for a in range(nx):
+            for b in range(ny):
                 total = 0.0
-                for j in range(2):
+                for j in range(m):
                     sel_in = [i for i, s in enumerate(ch.input.symbols) if s[j] == a]
                     sel_out = [k for k, s in enumerate(ch.output.symbols) if s[j] == b]
-                    total += joint_vec[np.ix_(sel_in, sel_out)].sum() / 2
+                    total += joint_vec[np.ix_(sel_in, sel_out)].sum() / m
                 assert p_mix.probs[a] * ch_mix.w[a, b] == pytest.approx(total, abs=1e-12)
 
     def test_non_product_rejected(self):

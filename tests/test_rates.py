@@ -28,6 +28,7 @@ from psrates import (
     map_quantizer,
     mary_symmetric,
     mutual_information,
+    optimize_metric_exponent,
     posterior_metric,
     product_alphabet,
     t_c_epsilon_lower_bound,
@@ -242,6 +243,15 @@ class TestGmi:
         rate, s_star = gmi(p, ch, q)
         assert rate == pytest.approx(1 - binary_entropy(0.11), abs=1e-8)
         assert math.exp(s_star) == pytest.approx(0.89 / 0.11, rel=1e-6)
+
+
+@pytest.mark.parametrize("optimizer", [gmi, optimize_metric_exponent])
+@pytest.mark.parametrize("s_min, s_max", [(10, 1), (1, 1), (0, 1), (-1, 1)])
+def test_s_bracket_checked(optimizer, s_min, s_max):
+    ch = bsc(0.1)
+    p = uniform_pmf(ch.input)
+    with pytest.raises(ValueError, match="s_min < s_max"):
+        optimizer(p, ch, likelihood_metric(ch), s_min=s_min, s_max=s_max)
 
 
 class TestLmRate:

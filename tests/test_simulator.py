@@ -16,8 +16,6 @@ from psrates import (
     pairwise_union_bound,
     posterior_metric,
     run,
-    run_classical,
-    run_layered_ps,
     uniform_pmf,
 )
 
@@ -54,6 +52,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             layered_config(trials=0)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            layered_config(mode="layered")
+
     def test_codebook_sizes(self):
         cfg = layered_config(n=16, r_c=0.75, r_tx=0.5)
         n_c, n_u, n_v = cfg.codebook_sizes()
@@ -84,19 +86,12 @@ class TestPairwiseUnionBound:
 
 class TestLayeredPs:
     def test_reproducible(self):
-        a = run_layered_ps(layered_config())
-        b = run_layered_ps(layered_config())
+        a = run(layered_config())
+        b = run(layered_config())
         assert a == b
 
-    def test_mode_dispatch_checks(self):
-        with pytest.raises(ValueError):
-            run_layered_ps(layered_config(mode="classical"))
-        with pytest.raises(ValueError):
-            run_classical(layered_config())
-        assert run(layered_config()) == run_layered_ps(layered_config())
-
     def test_counts_consistent(self):
-        res = run_layered_ps(layered_config())
+        res = run(layered_config())
         assert res.trials == 60
         assert res.encoding_failures + res.decode_trials == res.trials
         assert res.encoding_failure_rate == res.encoding_failures / res.trials
@@ -107,14 +102,14 @@ class TestLayeredPs:
         assert len(res.per_trial) == res.trials
 
     def test_realized_rates(self):
-        res = run_layered_ps(layered_config())
+        res = run(layered_config())
         n_c, n_u, _ = layered_config().codebook_sizes()
         assert res.realized_r_c == pytest.approx(math.log2(n_c) / 16)
         assert res.realized_r_tx == pytest.approx(math.log2(n_u) / 16)
 
     def test_encoding_failures_match_analytic_bound(self):
         cfg = layered_config(n=16, r_c=1.0, r_tx=0.25, trials=150, eps_typ=0.25)
-        res = run_layered_ps(cfg)
+        res = run(cfg)
         spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
         bound = encoding_failure_bound(spec, res.realized_r_c - res.realized_r_tx)
         # observed frequency may exceed the bound only by sampling noise
@@ -124,7 +119,7 @@ class TestLayeredPs:
     def test_transmitted_words_are_typical(self):
         # replay the trial RNG and confirm the encoder picks typical words
         cfg = layered_config(trials=30)
-        res = run_layered_ps(cfg)
+        res = run(cfg)
         spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
         n_c, n_u, n_v = cfg.codebook_sizes()
         for t, rec in enumerate(res.per_trial):
@@ -137,13 +132,13 @@ class TestLayeredPs:
 
     def test_error_rate_below_union_bound(self):
         cfg = layered_config(n=16, r_c=0.5, r_tx=0.25, trials=200)
-        res = run_layered_ps(cfg)
+        res = run(cfg)
         sigma = math.sqrt(0.25 / res.decode_trials)
         assert res.decode_error_rate <= res.bound_2exp + 4 * sigma
 
     def test_low_rate_low_noise_decodes(self):
         cfg = layered_config(n=20, r_c=0.4, r_tx=0.2, trials=60)
-        res = run_layered_ps(cfg)
+        res = run(cfg)
         assert res.message_error_rate < 0.2
 
     def test_noiseless_errors_only_from_duplicates(self):
@@ -151,7 +146,7 @@ class TestLayeredPs:
         # transmitted codeword appears more than once in the codebook
         ch = mary_symmetric(2, 0.0)
         cfg = layered_config(ch=ch, q=likelihood_metric(ch), trials=40)
-        res = run_layered_ps(cfg)
+        res = run(cfg)
         n_c, n_u, n_v = cfg.codebook_sizes()
         for t, rec in enumerate(res.per_trial):
             rng = np.random.default_rng([cfg.rng_seed, t])
@@ -174,7 +169,7 @@ class TestClassical:
         cfg = layered_config(
             p_x=p, q=posterior_metric(p, ch), mode="classical", trials=50
         )
-        res = run_classical(cfg)
+        res = run(cfg)
         assert res.codebook_size == res.message_count
         assert res.encoding_failures == 0
         assert res.trials == 50
@@ -193,7 +188,7 @@ class TestClassical:
         assert abs(ones - 0.1) < 0.02
 
     def test_json_dict_round_trips_scalars(self):
-        res = run_classical(layered_config(mode="classical", trials=10))
+        res = run(layered_config(mode="classical", trials=10))
         d = res.to_json_dict()
         assert d["trials"] == 10
         assert d["codebook_size"] == res.codebook_size
