@@ -288,7 +288,8 @@ def cmd_typical(args):
         spec = typicality.TypicalSpec(p_x, n, args.eps)
         size = typicality.typical_set_size(spec)
         rate = typicality.rate_of_typical_set(spec)
-        lemma = 2.0 ** (n * (1 - args.eps) * h)
+        exponent = n * (1 - args.eps) * h
+        lemma = math.inf if exponent >= 1024 else 2.0 ** exponent
         print(f"{n},{_fmt(args.eps)},{size},{_fmt(rate)},{_fmt(lemma)}")
 
 

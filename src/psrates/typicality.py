@@ -1,13 +1,12 @@
 """Letter-typical sets: membership, exact counting, and encoding bounds.
 
-Counting is exact over integer composition vectors with big-integer
-multinomials, so desk-scale results can be compared against exhaustive
-sequence enumeration without tolerance.
+Counting is exact, a big-integer dynamic program over the symbols, so
+desk-scale results can be compared against exhaustive sequence enumeration
+without tolerance, and block lengths in the thousands stay cheap.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,41 +74,35 @@ def is_typical_counts(counts, spec):
 
 
 def typical_set_size(spec):
-    """Exact number of typical sequences, summed over feasible compositions."""
+    """Exact number of typical sequences, as a big-integer dynamic program.
+
+    With the symbols taken last to first, f_i(r) = sum_k C(r, k) f_{i+1}(r - k)
+    counts the length-r sequences over symbols i.. whose counts all lie in
+    their ranges [lo, hi]. r runs only over the suffix's feasible range, k
+    only over the counts the rest of the suffix can complete, and the first
+    symbol is evaluated at r = n alone. Binomials are stepped along k, so the
+    cost is at most O(|X| n^2) big-integer multiply-adds.
+    """
     bounds = _count_bounds(spec)
     n = spec.n
-    total = 0
-    counts = [0] * len(bounds)
-
-    def rec(i, remaining):
-        nonlocal total
-        if i == len(bounds) - 1:
-            lo, hi = bounds[i]
-            if lo <= remaining <= hi:
-                counts[i] = remaining
-                total += _multinomial(n, counts)
-            return
+    # f[r - r_min] for the suffix processed so far; starts with the last symbol
+    r_min, r_max = bounds[-1]
+    f = [1] * (r_max - r_min + 1)
+    for i in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[i]
-        tail_min = sum(b[0] for b in bounds[i + 1:])
-        tail_max = sum(b[1] for b in bounds[i + 1:])
-        for k in range(max(lo, remaining - tail_max), min(hi, remaining - tail_min) + 1):
-            counts[i] = k
-            rec(i + 1, remaining - k)
-
-    if len(bounds) == 1:
-        lo, hi = bounds[0]
-        return 1 if lo <= n <= hi else 0
-    rec(0, n)
-    return total
-
-
-def _multinomial(n, counts):
-    out = 1
-    rest = n
-    for k in counts[:-1]:
-        out *= math.comb(rest, k)
-        rest -= k
-    return out
+        new_min, new_max = (n, n) if i == 0 else (r_min + lo, min(n, r_max + hi))
+        g = []
+        for r in range(new_min, new_max + 1):
+            k0, k1 = max(lo, r - r_max), min(hi, r - r_min)
+            total = 0
+            if k0 <= k1:
+                c = math.comb(r, k0)
+                for k in range(k0, k1 + 1):
+                    total += c * f[r - k - r_min]
+                    c = c * (r - k) // (k + 1)
+            g.append(total)
+        f, r_min, r_max = g, new_min, new_max
+    return f[n - r_min] if r_min <= n <= r_max else 0
 
 
 def rate_of_typical_set(spec):
@@ -131,10 +124,18 @@ def _log2_big(k):
 
 def encoding_failure_bound(spec, r_prime):
     """Upper bound on the probability that none of 2^(n*r') uniform random
-    codewords lands in the shaping set: exp(-|T| / |X|^n * 2^(n*r'))."""
+    codewords lands in the shaping set: exp(-|T| / |X|^n * 2^(n*r')).
+
+    Evaluated in the log2 domain, so it does not overflow at large n: 1.0
+    for an empty set, 0.0 once the exponent exceeds the float range.
+    """
     if r_prime < 0:
         raise ValueError("rate slack must be non-negative")
     size = typical_set_size(spec)
-    total = len(spec.p_x.alphabet) ** spec.n
-    frac = float(Fraction(size, total))
-    return math.exp(-frac * 2.0 ** (spec.n * r_prime))
+    if size == 0:
+        return 1.0
+    n = spec.n
+    e = _log2_big(size) - n * math.log2(len(spec.p_x.alphabet)) + n * r_prime
+    if e >= 1024:
+        return 0.0
+    return math.exp(-2.0 ** e)

@@ -197,6 +197,18 @@ class TestTypicalCommand:
         # exact count for n=8, eps=0.2: compositions with 4 ones
         assert int(row8[2]) == math.comb(8, 4)
 
+    def test_ccdm_block_length(self, capsys):
+        # 2^(n (1-eps) H) exceeds the float range: printed as inf, no traceback
+        code, out, err = run_cli(
+            capsys, "typical", "--pmf", "0.4,0.3,0.2,0.1", "--n", "3000",
+            "--eps", "0.3",
+        )
+        assert code == 0 and err == ""
+        n, eps, size, rate, lemma = out.strip().split("\n")[2].split(",")
+        assert (n, eps, lemma) == ("3000", "0.3", "inf")
+        assert float(rate) == pytest.approx(math.log2(int(size)) / 3000, abs=1e-11)
+        assert 1.5 < float(rate) < 2
+
 
 class TestErrorHandling:
     def test_unknown_channel(self, capsys):

@@ -121,12 +121,48 @@ class TestExactComposition:
             assert len(exact_composition_sequence(p, n, rng)) == n
 
 
+def comparison_count_sample(ch, x_idx, rng):
+    """Reference sampler: count the cumulative entries each uniform reaches."""
+    cum = np.cumsum(ch.w, axis=1)
+    u = rng.random(len(x_idx))
+    rows = cum[x_idx]
+    return np.minimum((u[:, None] >= rows).sum(axis=1), len(ch.output) - 1)
+
+
 class TestSampleChannelOutputs:
     def test_deterministic_channel(self):
         ch = Dmc(Alphabet((0, 1)), Alphabet((0, 1)), np.eye(2))
         rng = np.random.default_rng(55)
         x = np.array([0, 1, 1, 0])
         assert list(sample_channel_outputs(ch, x, rng)) == [0, 1, 1, 0]
+
+    def test_matches_comparison_count(self):
+        rng = np.random.default_rng(57)
+        for trial in range(40):
+            nx = int(rng.integers(1, 9))
+            ny = int(rng.integers(1, 601))
+            w = rng.dirichlet(np.ones(ny), size=nx)
+            w[rng.random((nx, ny)) < 0.3] = 0.0
+            w[:, 0] += 1e-3
+            w /= w.sum(axis=1, keepdims=True)
+            ch = Dmc(Alphabet(tuple(range(nx))), Alphabet(tuple(range(ny))), w)
+            x = rng.integers(0, nx, size=int(rng.integers(0, 3001)))
+            got = sample_channel_outputs(ch, x, np.random.default_rng(trial))
+            want = comparison_count_sample(ch, x, np.random.default_rng(trial))
+            assert np.array_equal(got, want)
+
+    def test_list_input(self):
+        ch = bsc(0.3)
+        x = [0, 1, 1, 0, 1] * 20
+        got = sample_channel_outputs(ch, x, np.random.default_rng(58))
+        want = comparison_count_sample(ch, np.array(x), np.random.default_rng(58))
+        assert np.array_equal(got, want)
+
+    def test_index_out_of_range(self):
+        rng = np.random.default_rng(59)
+        for x in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError):
+                sample_channel_outputs(bsc(0.3), x, rng)
 
     def test_empirical_law(self):
         ch = bsc(0.2)

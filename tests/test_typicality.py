@@ -15,9 +15,47 @@ from psrates import (
     typical_set_size,
     uniform_pmf,
 )
+from psrates.typicality import _count_bounds
 
 A2 = Alphabet((0, 1))
 A3 = Alphabet((0, 1, 2))
+
+
+def recursive_size(spec):
+    """Composition enumeration, the counting method before the dynamic
+    program: sum the multinomial of every feasible composition."""
+    bounds = _count_bounds(spec)
+    n = spec.n
+    total = 0
+    counts = [0] * len(bounds)
+
+    def multinomial():
+        out, rest = 1, n
+        for k in counts[:-1]:
+            out *= math.comb(rest, k)
+            rest -= k
+        return out
+
+    def rec(i, remaining):
+        nonlocal total
+        if i == len(bounds) - 1:
+            lo, hi = bounds[i]
+            if lo <= remaining <= hi:
+                counts[i] = remaining
+                total += multinomial()
+            return
+        lo, hi = bounds[i]
+        tail_min = sum(b[0] for b in bounds[i + 1:])
+        tail_max = sum(b[1] for b in bounds[i + 1:])
+        for k in range(max(lo, remaining - tail_max), min(hi, remaining - tail_min) + 1):
+            counts[i] = k
+            rec(i + 1, remaining - k)
+
+    if len(bounds) == 1:
+        lo, hi = bounds[0]
+        return 1 if lo <= n <= hi else 0
+    rec(0, n)
+    return total
 
 
 def brute_force_size(spec):
@@ -79,6 +117,37 @@ class TestSize:
             spec = TypicalSpec(p, n, eps)
             assert typical_set_size(spec) == brute_force_size(spec)
 
+    def test_matches_composition_enumeration(self):
+        rng = np.random.default_rng(44)
+        nonempty = 0
+        for trial in range(400):
+            nx = int(rng.integers(1, 6))
+            probs = rng.dirichlet(np.ones(nx))
+            if nx > 1 and trial % 4 == 0:
+                probs[rng.integers(nx)] = 0.0
+                probs /= probs.sum()
+            p = Pmf(Alphabet(tuple(range(nx))), probs)
+            n = int(rng.integers(1, 31))
+            eps = float(rng.choice([0.0, 0.05, 0.2, 0.5, 1.5]))
+            spec = TypicalSpec(p, n, eps)
+            size = typical_set_size(spec)
+            assert size == recursive_size(spec), (probs, n, eps)
+            nonempty += size > 0
+        assert nonempty >= 200
+
+    def test_ccdm_type_class(self):
+        # at eps = 0 with n * P integral the set is one type class
+        k = [300, 250, 150, 120, 90, 60, 40, 14]
+        n = sum(k)
+        p = Pmf(Alphabet(tuple(range(8))), np.array(k) / n)
+        spec = TypicalSpec(p, n, 0.0)
+        multinomial = math.factorial(n)
+        for kk in k:
+            multinomial //= math.factorial(kk)
+        assert typical_set_size(spec) == multinomial
+        gap = entropy(p) - rate_of_typical_set(spec)
+        assert 0 < gap <= 8 * math.log2(n + 1) / n
+
     def test_large_eps_covers_everything(self):
         p = Pmf(A2, np.array([0.5, 0.5]))
         spec = TypicalSpec(p, 8, 1.0)
@@ -137,6 +206,11 @@ class TestEncodingFailureBound:
         p = Pmf(A2, np.array([0.3, 0.7]))
         spec = TypicalSpec(p, 5, 0.0)
         assert encoding_failure_bound(spec, 1.0) == 1.0
+
+    def test_large_n_no_overflow(self):
+        p = Pmf(A2, np.array([0.5, 0.5]))
+        spec = TypicalSpec(p, 2000, 0.1)
+        assert encoding_failure_bound(spec, 0.6) == 0.0
 
     def test_negative_rate_rejected(self):
         spec = TypicalSpec(Pmf(A2, np.array([0.5, 0.5])), 4, 0.1)
