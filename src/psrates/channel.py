@@ -28,6 +28,8 @@ class Dmc:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (len(self.input), len(self.output)):
             raise ValueError("channel matrix shape must be |X| x |Y|")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("channel probabilities must be finite")
         if np.any(w < 0):
             raise ValueError("channel probabilities must be non-negative")
         rows = w.sum(axis=1)

@@ -42,6 +42,19 @@ def _parse_floats(text, flag):
         raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}")
 
 
+def _load_json(spec, flag, kind, build):
+    """build(parsed JSON file); a missing key or wrong shape is a CliError."""
+    try:
+        with open(spec) as fh:
+            d = json.load(fh)
+    except OSError:
+        raise CliError(f"{flag}: unknown {kind} or unreadable file {spec!r}")
+    try:
+        return build(d)
+    except (KeyError, IndexError, TypeError) as e:
+        raise CliError(f"{flag}: malformed JSON file {spec!r} ({type(e).__name__}: {e})")
+
+
 def parse_channel(spec):
     """bsc:EPS | mary:M,EPS | awgn-ask:M,SIGMA[,CELLS[,SPAN]] | JSON path."""
     if spec.startswith("bsc:"):
@@ -56,11 +69,7 @@ def parse_channel(spec):
         span = float(parts[3]) if len(parts) > 3 else 8.0
         constellation = chmod.ask_constellation(m)
         return chmod.awgn_quantized(constellation, sigma, chmod.GridSpec(cells, span))
-    try:
-        with open(spec) as fh:
-            return chmod.Dmc.from_json_dict(json.load(fh))
-    except OSError:
-        raise CliError(f"--channel: unknown spec or unreadable file {spec!r}")
+    return _load_json(spec, "--channel", "spec", chmod.Dmc.from_json_dict)
 
 
 def parse_input(spec, ch):
@@ -82,12 +91,8 @@ def parse_input(spec, ch):
                 f"{len(ch.input)}-symbol channel input"
             )
         return Pmf(ch.input, np.asarray(probs))
-    try:
-        with open(spec) as fh:
-            d = json.load(fh)
-        return Pmf(ch.input, np.asarray(d["probs"], dtype=float))
-    except OSError:
-        raise CliError(f"--input: unknown spec or unreadable file {spec!r}")
+    return _load_json(spec, "--input", "spec",
+                      lambda d: Pmf(ch.input, np.asarray(d["probs"], dtype=float)))
 
 
 def _is_number(s):
@@ -124,11 +129,7 @@ def parse_metric(spec, p_x, ch, power_s=None, exp_s=None):
             levels.append(metmod.hard_decision_metric(quant, pb.alphabet))
         q = metmod.bit_metric_product(levels, ch.input, ch.output)
     else:
-        try:
-            with open(spec) as fh:
-                q = metmod.Metric.from_json_dict(json.load(fh))
-        except OSError:
-            raise CliError(f"--metric: unknown selector or unreadable file {spec!r}")
+        q = _load_json(spec, "--metric", "selector", metmod.Metric.from_json_dict)
     if power_s is not None:
         q = metmod.power_transform(q, power_s)
     if exp_s is not None:
@@ -280,12 +281,12 @@ def cmd_typical(args):
     probs = np.asarray(_parse_floats(args.pmf, "--pmf"))
     alphabet = Alphabet(tuple(range(len(probs))))
     p_x = Pmf(alphabet, probs)
-    ns = [int(t) for t in args.n.split(",")]
+    specs = [typicality.TypicalSpec(p_x, int(t), args.eps) for t in args.n.split(",")]
     print("# schema: psrates.typical.v1")
     print("n,eps,size,rate,lemma_lower_bound")
     h = entropy(p_x)
-    for n in ns:
-        spec = typicality.TypicalSpec(p_x, n, args.eps)
+    for spec in specs:
+        n = spec.n
         size = typicality.typical_set_size(spec)
         rate = typicality.rate_of_typical_set(spec)
         exponent = n * (1 - args.eps) * h

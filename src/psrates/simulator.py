@@ -6,9 +6,18 @@ message, transmits it through the channel and decodes by exhaustive
 metric-product maximization over the whole codebook. The feasibility cap
 n * r_c <= 22 keeps full fixture suites in the minutes range.
 
+Memory: `run` holds one codebook of n_c * n bytes (the smallest unsigned
+dtype that fits |X| - 1), reused by every trial, plus one float64 score per
+codeword and fixed-size chunk buffers of about _CHUNK_CELLS cells. The
+codebook is drawn and scored in row chunks; numpy's generators continue the
+same stream across chunks, and each row's scores are summed over the same
+values in the same order as a one-shot draw, so the output does not depend
+on the chunk size.
+
 Decoder ties: the transmitted index counts as correctly decoded only when it
-is the unique maximizer; ties are conservative errors, which keeps the
-pairwise union bound valid.
+is the unique maximizer. Ties are detected only when the float scores are
+bit-equal; two codewords with equal metric products but different symbol
+orders can differ in the last bit, and then the rounding picks the winner.
 """
 
 import math
@@ -20,6 +29,9 @@ from .empirical import SequencePair, empirical_code_rate, sample_channel_outputs
 from .typicality import TypicalSpec, is_typical_counts
 
 FEASIBILITY_CAP = 22
+
+# Cells per chunk of the codebook draw and of decode scoring.
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -124,13 +136,23 @@ def run(cfg):
     realized_r_tx = math.log2(n_u) / cfg.n
     logq = cfg.q.log2_q()
     spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
+    rows = max(1, _CHUNK_CELLS // cfg.n)
+    starts = range(0, n_c, rows)
+    cb = np.empty((n_c, cfg.n), dtype=np.min_scalar_type(nx - 1))
+    scores = np.empty(n_c)
+    # flat index of (position i, symbol a) in the per-trial table is i*nx + a
+    offsets = np.arange(cfg.n) * nx
+    index = np.empty((min(rows, n_c), cfg.n), dtype=np.intp)
+    terms = np.empty(index.shape)
     records = []
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.rng_seed, t])
-        if cfg.mode == "layered-ps":
-            cb = rng.integers(nx, size=(n_c, cfg.n))
-        else:
-            cb = rng.choice(nx, size=(n_c, cfg.n), p=cfg.p_x.probs)
+        for lo in starts:
+            m = min(rows, n_c - lo)
+            if cfg.mode == "layered-ps":
+                cb[lo:lo + m] = rng.integers(nx, size=(m, cfg.n))
+            else:
+                cb[lo:lo + m] = rng.choice(nx, size=(m, cfg.n), p=cfg.p_x.probs)
         u = int(rng.integers(n_u))
         if cfg.mode == "layered-ps":
             block = cb[u * n_v:(u + 1) * n_v]
@@ -148,7 +170,12 @@ def run(cfg):
             w = u
         x = cb[w]
         y = sample_channel_outputs(cfg.ch, x, rng)
-        scores = logq[cb, y[None, :]].sum(axis=1)
+        table = logq[:, y].T.ravel()
+        for lo in starts:
+            m = min(rows, n_c - lo)
+            np.add(cb[lo:lo + m], offsets, out=index[:m])
+            table.take(index[:m], out=terms[:m])
+            terms[:m].sum(axis=1, out=scores[lo:lo + m])
         best = scores.max()
         winners = np.flatnonzero(scores == best)
         w_hat = int(winners[0])

@@ -24,8 +24,8 @@ class TypicalSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("sequence length must be at least 1")
-        if self.eps_typ < 0:
-            raise ValueError("typicality tolerance must be non-negative")
+        if not (math.isfinite(self.eps_typ) and self.eps_typ >= 0):
+            raise ValueError("typicality tolerance must be finite and non-negative")
 
 
 def _count_bounds(spec):

@@ -51,6 +51,14 @@ class TestMarySymmetric:
             assert np.allclose(ch.w.sum(axis=1), 1.0, atol=1e-12)
 
 
+class TestDmc:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        a = Alphabet((0, 1))
+        with pytest.raises(ValueError, match="finite"):
+            Dmc(a, a, [[bad, bad], [0.5, 0.5]])
+
+
 class TestAwgnQuantized:
     def test_near_noiseless_rows_concentrate(self):
         con = Alphabet((-1.0, 1.0), signal_points=(-1.0, 1.0))

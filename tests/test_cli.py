@@ -158,6 +158,12 @@ class TestSimulateCommand:
         assert lines[1] == "trial,encoding_failed,w_error,u_error,t_hat,union_bound"
         assert len(lines) == 22
 
+    def test_nan_tolerance_rejected(self, capsys):
+        args = [a if a != "0.25" else "nan" for a in self.ARGS]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: typicality tolerance")
+
     def test_infeasible_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--channel", "bsc:0.05", "--input", "uniform",
@@ -197,6 +203,13 @@ class TestTypicalCommand:
         # exact count for n=8, eps=0.2: compositions with 4 ones
         assert int(row8[2]) == math.comb(8, 4)
 
+    def test_nan_tolerance_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "typical", "--pmf", "0.5,0.5", "--n", "8", "--eps", "nan",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: typicality tolerance")
+
     def test_ccdm_block_length(self, capsys):
         # 2^(n (1-eps) H) exceeds the float range: printed as inf, no traceback
         code, out, err = run_cli(
@@ -232,3 +245,18 @@ class TestErrorHandling:
             "--metric", "likelihood",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--channel", {"input": {"symbols": [0, 1]}, "rows": [[0.9, 0.1], [0.1, 0.9]]}),
+        ("--channel", [0.9, 0.1]),
+        ("--input", {"prob": [0.5, 0.5]}),
+        ("--metric", {"input": {"symbols": [0, 1]}, "output": {}, "rows": [[1, 0], [0, 1]]}),
+    ])
+    def test_malformed_json_file(self, capsys, tmp_path, flag, content):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        argv = {"--channel": "bsc:0.1", "--input": "uniform", "--metric": "likelihood"}
+        argv[flag] = str(path)
+        code, out, err = run_cli(capsys, "rates", *(t for kv in argv.items() for t in kv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: malformed JSON file")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from psrates import (
     pairwise_union_bound,
     posterior_metric,
     run,
+    sample_channel_outputs,
     uniform_pmf,
 )
+from psrates import simulator
 
 
 def layered_config(**overrides):
@@ -193,3 +196,85 @@ class TestClassical:
         assert d["trials"] == 10
         assert d["codebook_size"] == res.codebook_size
         assert "per_trial" not in d
+
+
+def _one_shot_trial(cfg, t):
+    """Trial t replayed with the whole codebook drawn and scored at once:
+    (encoding_failed, w_error, u_error)."""
+    nx = len(cfg.p_x.alphabet)
+    n_c, n_u, n_v = cfg.codebook_sizes()
+    rng = np.random.default_rng([cfg.rng_seed, t])
+    if cfg.mode == "layered-ps":
+        cb = rng.integers(nx, size=(n_c, cfg.n))
+    else:
+        cb = rng.choice(nx, size=(n_c, cfg.n), p=cfg.p_x.probs)
+    u = int(rng.integers(n_u))
+    spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
+    failed, v = False, 0
+    if cfg.mode == "layered-ps":
+        block = cb[u * n_v:(u + 1) * n_v]
+        typical = [k for k in range(n_v) if is_typical(block[k], spec)]
+        failed = not typical
+        v = typical[0] if typical else 0
+    w = u * n_v + v
+    y = sample_channel_outputs(cfg.ch, cb[w], rng)
+    scores = cfg.q.log2_q()[cb, y[None, :]].sum(axis=1)
+    winners = np.flatnonzero(scores == scores.max())
+    w_error = not (winners.size == 1 and winners[0] == w)
+    return failed, w_error, (winners[0] // n_v) != u
+
+
+def _streamed_cases():
+    ch3 = mary_symmetric(3, 0.1)
+    bsc05 = bsc(0.05)
+    shaped = Pmf(bsc05.input, np.array([0.7, 0.3]))
+    noiseless = mary_symmetric(2, 0.0)
+    return {
+        "layered-nx2": layered_config(trials=6),
+        # rng.integers(3) rejects and redraws; the chunked stream must too
+        "layered-nx3": layered_config(
+            ch=ch3, p_x=uniform_pmf(ch3.input), q=likelihood_metric(ch3),
+            n=10, r_c=1.2, r_tx=0.6, eps_typ=0.3, trials=6),
+        "classical-shaped": layered_config(
+            p_x=shaped, q=posterior_metric(shaped, bsc05), mode="classical",
+            n=12, r_c=0.75, r_tx=0.75, trials=6),
+        # 2^10 codewords of length 10: duplicates, hence ties, in most trials
+        "noiseless-ties": layered_config(
+            ch=noiseless, q=likelihood_metric(noiseless), n=10, r_c=1.0,
+            r_tx=0.5, eps_typ=0.5, trials=6),
+    }
+
+
+class TestStreamedCodebook:
+    @pytest.mark.parametrize("case", sorted(_streamed_cases()))
+    def test_chunk_size_does_not_change_result(self, monkeypatch, case):
+        cfg = _streamed_cases()[case]
+        default = run(cfg)
+        # one row per chunk, an odd row count that divides no power of two,
+        # and the whole codebook in one chunk
+        for cells in (1, 7 * cfg.n + 3, 1 << 30):
+            monkeypatch.setattr(simulator, "_CHUNK_CELLS", cells)
+            assert run(cfg) == default, cells
+        if case == "noiseless-ties":
+            assert any(rec.w_error for rec in default.per_trial)
+
+    @pytest.mark.parametrize("case", sorted(_streamed_cases()))
+    def test_matches_one_shot_decoder(self, monkeypatch, case):
+        cfg = _streamed_cases()[case]
+        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
+        res = run(cfg)
+        for t, rec in enumerate(res.per_trial):
+            assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
+
+    def test_codebook_memory_bounded(self):
+        # the codebook is held as uint8 (n_c * n bytes), never as an int64
+        # or float64 array of the same shape (8 * n_c * n bytes each)
+        cfg = layered_config(n=18, r_c=1.0, r_tx=0.5, trials=2)
+        n_c, _, _ = cfg.codebook_sizes()
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_c * cfg.n * 4

@@ -65,6 +65,13 @@ def brute_force_size(spec):
     )
 
 
+class TestSpec:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+    def test_bad_tolerance_rejected(self, eps):
+        with pytest.raises(ValueError, match="tolerance"):
+            TypicalSpec(Pmf(A2, np.array([0.5, 0.5])), 10, eps)
+
+
 class TestMembership:
     def test_exact_composition_always_typical(self):
         spec = TypicalSpec(Pmf(A2, np.array([0.5, 0.5])), 10, 0.0)
