@@ -58,12 +58,20 @@ CASES = {
         "sweep", "--channel", "awgn-ask:4,0.5,64", "--input", "mb:0.1",
         "--metric", "bitwise-posterior", "--param", "sigma",
         "--start", "0.4", "--stop", "1.0", "--steps", "4"),
+    # The channel sizes the benchmark's rate-curve workload builds.
+    "sweep-sigma-8ask-4096": (
+        "sweep", "--channel", "awgn-ask:8,0.3,4096", "--input", "mb:0.05",
+        "--metric", "bitwise-posterior", "--param", "sigma",
+        "--start", "0.3", "--stop", "1.2", "--steps", "4"),
     "gmi-mary-likelihood": (
         "gmi", "--channel", "mary:4,0.1", "--input", "0.4,0.3,0.2,0.1",
         "--metric", "likelihood"),
     "gmi-awgn-bitwise-bracket": (
         "gmi", "--channel", "awgn-ask:4,0.6,64", "--input", "mb:0.1",
         "--metric", "bitwise-posterior", "--s-min", "0.01", "--s-max", "100"),
+    "gmi-16ask-2048-likelihood": (
+        "gmi", "--channel", "awgn-ask:16,0.3,2048", "--input", "mb:0.01",
+        "--metric", "likelihood"),
     "lm-inv-input": (
         "lm", "--channel", "mary:4,0.1", "--input", "0.4,0.3,0.2,0.1",
         "--metric", "likelihood", "--s", "0.8"),
