@@ -65,8 +65,8 @@ class GridSpec:
     def __post_init__(self):
         if self.cells < 64:
             raise ValueError("grid must have at least 64 cells")
-        if self.span < 6:
-            raise ValueError("grid span must be at least 6 sigmas")
+        if not 6 <= self.span < math.inf:
+            raise ValueError(f"grid span must be finite and at least 6 sigmas, got {self.span}")
 
 
 def mary_symmetric(M, eps):
@@ -89,35 +89,34 @@ def bsc(eps):
     return mary_symmetric(2, eps)
 
 
-def _phi(t):
-    return 0.5 * (1 + math.erf(t / math.sqrt(2)))
-
-
 def awgn_quantized(constellation, noise_sigma, grid=GridSpec()):
     """Gaussian-noise channel on a real constellation, output on a cell grid.
 
     Cell probabilities are CDF differences at the cell edges; the two tail
-    masses are folded into the edge cells so every row sums to one.
+    masses are folded into the edge cells so every row sums to one. The CDF
+    at each edge is 0.5 * (1 + math.erf(t)) with t = (edge - point) / sigma /
+    sqrt(2), computed elementwise, so a value does not depend on how the grid
+    is batched.
     """
     if constellation.signal_points is None:
         raise ValueError("constellation must carry signal points")
-    if noise_sigma <= 0:
-        raise ValueError("noise sigma must be positive")
+    if not 0 < noise_sigma < math.inf:
+        raise ValueError(f"noise sigma must be positive and finite, got {noise_sigma}")
     pts = np.asarray(constellation.signal_points)
     lo = pts.min() - grid.span * noise_sigma
     hi = pts.max() + grid.span * noise_sigma
-    if hi <= lo:
-        raise ValueError("degenerate output grid")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"output grid [{lo}, {hi}] is degenerate or not finite")
     edges = np.linspace(lo, hi, grid.cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    w = np.empty((len(pts), grid.cells))
-    for i, x in enumerate(pts):
-        cdf = np.array([_phi((e - x) / noise_sigma) for e in edges])
-        row = np.diff(cdf)
-        row[0] += cdf[0]
-        row[-1] += 1 - cdf[-1]
-        w[i] = row
-    out = Alphabet(tuple(float(m) for m in mids), signal_points=tuple(float(m) for m in mids))
+    t = (edges[None, :] - pts[:, None]) / noise_sigma / math.sqrt(2)
+    erf = np.fromiter(map(math.erf, t.ravel().tolist()), float, t.size)
+    cdf = 0.5 * (1 + erf.reshape(t.shape))
+    w = np.diff(cdf, axis=1)
+    w[:, 0] += cdf[:, 0]
+    w[:, -1] += 1 - cdf[:, -1]
+    mids = mids.tolist()
+    out = Alphabet(mids, signal_points=mids)
     return Dmc(constellation, out, w / w.sum(axis=1, keepdims=True))
 
 

@@ -55,21 +55,29 @@ def _load_json(spec, flag, kind, build):
         raise CliError(f"{flag}: malformed JSON file {spec!r} ({type(e).__name__}: {e})")
 
 
-def parse_channel(spec):
-    """bsc:EPS | mary:M,EPS | awgn-ask:M,SIGMA[,CELLS[,SPAN]] | JSON path."""
-    if spec.startswith("bsc:"):
-        return chmod.bsc(float(spec[4:]))
-    if spec.startswith("mary:"):
-        m, eps = spec[5:].split(",")
-        return chmod.mary_symmetric(int(m), float(eps))
-    if spec.startswith("awgn-ask:"):
-        parts = spec[9:].split(",")
-        m, sigma = int(parts[0]), float(parts[1])
-        cells = int(parts[2]) if len(parts) > 2 else 512
-        span = float(parts[3]) if len(parts) > 3 else 8.0
-        constellation = chmod.ask_constellation(m)
-        return chmod.awgn_quantized(constellation, sigma, chmod.GridSpec(cells, span))
-    return _load_json(spec, "--channel", "spec", chmod.Dmc.from_json_dict)
+_CHANNEL_FIELDS = {"bsc": ("eps",), "mary": ("m", "eps"), "awgn-ask": ("m", "sigma", "cells", "span")}
+
+
+def parse_channel(spec, **override):
+    """bsc:EPS | mary:M,EPS | awgn-ask:M,SIGMA[,CELLS[,SPAN]] | JSON path.
+
+    override replaces selector fields by name, e.g. sigma=0.5.
+    """
+    family, colon, text = spec.partition(":")
+    names = _CHANNEL_FIELDS.get(family) if colon else None
+    if names is None:
+        return _load_json(spec, "--channel", "spec", chmod.Dmc.from_json_dict)
+    fields = text.split(",")
+    if not min(len(names), 2) <= len(fields) <= len(names):  # CELLS, SPAN optional
+        raise CliError(f"--channel: wrong number of fields in {spec!r}")
+    p = dict(zip(names, fields), **override)
+    if family == "bsc":
+        return chmod.bsc(float(p["eps"]))
+    if family == "mary":
+        return chmod.mary_symmetric(int(p["m"]), float(p["eps"]))
+    constellation = chmod.ask_constellation(int(p["m"]))
+    grid = chmod.GridSpec(int(p.get("cells", 512)), float(p.get("span", 8.0)))
+    return chmod.awgn_quantized(constellation, float(p["sigma"]), grid)
 
 
 def parse_input(spec, ch):
@@ -130,6 +138,10 @@ def parse_metric(spec, p_x, ch, power_s=None, exp_s=None):
         q = metmod.bit_metric_product(levels, ch.input, ch.output)
     else:
         q = _load_json(spec, "--metric", "selector", metmod.Metric.from_json_dict)
+    return _transformed(q, power_s, exp_s)
+
+
+def _transformed(q, power_s, exp_s):
     if power_s is not None:
         q = metmod.power_transform(q, power_s)
     if exp_s is not None:
@@ -181,46 +193,41 @@ def cmd_sweep(args):
     )
     print(f"# schema: psrates.sweep.{args.param}.v1")
     print(",".join(RATE_COLUMNS))
-    for v in values:
-        row = _sweep_point(args, float(v))
+    scenario_at = None
+    for v in map(float, values):
+        try:
+            # built at the first point; a failed build is retried and fails every row
+            scenario_at = scenario_at or _sweep_scenario(args)
+            rep = rates.achievable_transmission_rate(*scenario_at(v))
+            row = (
+                _fmt(v), _fmt(rep.uncertainty), _fmt(rep.t_c),
+                _fmt(rep.divergence_to_uniform), _fmt(rep.r_ps),
+                _fmt(rep.r_ps_by_perspective[0]), str(int(rep.clamped)), "0",
+            )
+        except (ValueError, CliError) as e:
+            print(f"sweep point {v}: {e}", file=sys.stderr)
+            row = (_fmt(v), "", "", "", "", "", "", "1")
         print(",".join(row))
 
 
-def _sweep_point(args, v):
-    try:
-        ch_spec, in_spec, met_spec = args.channel, args.input, args.metric
-        power_s, exp_s = args.power_s, args.exp_s
-        if args.param == "eps":
-            base = ch_spec.split(":")[0]
-            if base == "bsc":
-                ch_spec = f"bsc:{v}"
-            elif base == "mary":
-                m = ch_spec.split(":")[1].split(",")[0]
-                ch_spec = f"mary:{m},{v}"
-            else:
-                raise CliError("--param eps: needs a bsc: or mary: channel")
-        elif args.param == "sigma":
-            if not ch_spec.startswith("awgn-ask:"):
-                raise CliError("--param sigma: needs an awgn-ask: channel")
-            parts = ch_spec[9:].split(",")
-            parts[1] = str(v)
-            ch_spec = "awgn-ask:" + ",".join(parts)
-        elif args.param == "s":
-            power_s = v
-        else:
-            raise CliError(f"--param: unknown parameter {args.param!r}")
-        ch = parse_channel(ch_spec)
-        p_x = parse_input(in_spec, ch)
-        q = parse_metric(met_spec, p_x, ch, power_s, exp_s)
-        rep = rates.achievable_transmission_rate(p_x, ch, q)
-        return (
-            _fmt(v), _fmt(rep.uncertainty), _fmt(rep.t_c),
-            _fmt(rep.divergence_to_uniform), _fmt(rep.r_ps),
-            _fmt(rep.r_ps_by_perspective[0]), str(int(rep.clamped)), "0",
-        )
-    except (ValueError, CliError) as e:
-        print(f"sweep point {v}: {e}", file=sys.stderr)
-        return (_fmt(v), "", "", "", "", "", "", "1")
+def _sweep_scenario(args):
+    """v -> (p_x, ch, q); what does not depend on v is built once, here."""
+    if args.param == "s":
+        ch = parse_channel(args.channel)
+        p_x = parse_input(args.input, ch)
+        q = parse_metric(args.metric, p_x, ch)
+        return lambda v: (p_x, ch, _transformed(q, v, args.exp_s))
+    family = args.channel.partition(":")[0] if ":" in args.channel else None
+    if args.param == "eps" and family not in ("bsc", "mary"):
+        raise CliError("--param eps: needs a bsc: or mary: channel")
+    if args.param == "sigma" and family != "awgn-ask":
+        raise CliError("--param sigma: needs an awgn-ask: channel")
+
+    def scenario_at(v):
+        ch = parse_channel(args.channel, **{args.param: v})
+        p_x = parse_input(args.input, ch)
+        return p_x, ch, parse_metric(args.metric, p_x, ch, args.power_s, args.exp_s)
+    return scenario_at
 
 
 def cmd_gmi(args):

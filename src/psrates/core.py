@@ -49,7 +49,7 @@ class Alphabet:
             if len(self.symbols) != 2 ** m:
                 raise ValueError("labeled alphabet size must be 2^m")
         if self.signal_points is not None:
-            pts = tuple(float(x) for x in self.signal_points)
+            pts = tuple(map(float, self.signal_points))
             object.__setattr__(self, "signal_points", pts)
             if len(pts) != len(self.symbols):
                 raise ValueError("need one signal point per symbol")

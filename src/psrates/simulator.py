@@ -54,6 +54,10 @@ class SimConfig:
             raise ValueError(
                 f"n * r_c = {self.n * self.r_c} exceeds the exhaustive cap {FEASIBILITY_CAP}"
             )
+        if not 0 <= self.eps_typ < math.inf:
+            raise ValueError(
+                f"typicality tolerance eps_typ must be finite and non-negative, got {self.eps_typ}"
+            )
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.mode not in ("layered-ps", "classical"):

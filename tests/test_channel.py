@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,28 @@ class TestDmc:
             Dmc(a, a, [[bad, bad], [0.5, 0.5]])
 
 
+def per_edge_awgn_quantized(constellation, noise_sigma, grid):
+    """The former awgn_quantized: one scalar erf call per grid edge and point."""
+
+    def phi(t):
+        return 0.5 * (1 + math.erf(t / math.sqrt(2)))
+
+    pts = np.asarray(constellation.signal_points)
+    lo = pts.min() - grid.span * noise_sigma
+    hi = pts.max() + grid.span * noise_sigma
+    edges = np.linspace(lo, hi, grid.cells + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    w = np.empty((len(pts), grid.cells))
+    for i, x in enumerate(pts):
+        cdf = np.array([phi((e - x) / noise_sigma) for e in edges])
+        row = np.diff(cdf)
+        row[0] += cdf[0]
+        row[-1] += 1 - cdf[-1]
+        w[i] = row
+    out = Alphabet(tuple(float(m) for m in mids), signal_points=tuple(float(m) for m in mids))
+    return Dmc(constellation, out, w / w.sum(axis=1, keepdims=True))
+
+
 class TestAwgnQuantized:
     def test_near_noiseless_rows_concentrate(self):
         con = Alphabet((-1.0, 1.0), signal_points=(-1.0, 1.0))
@@ -93,6 +117,41 @@ class TestAwgnQuantized:
         con = ask_constellation(2)
         with pytest.raises(ValueError):
             awgn_quantized(con, -1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf, -math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise sigma"):
+            awgn_quantized(ask_constellation(2), sigma)
+
+    def test_overflowing_grid_rejected(self):
+        with pytest.raises(ValueError, match="output grid"):
+            awgn_quantized(ask_constellation(2), 1e308)
+
+    @pytest.mark.parametrize("span", [5.9, math.nan, math.inf])
+    def test_bad_span_rejected(self, span):
+        with pytest.raises(ValueError, match="grid span"):
+            GridSpec(512, span)
+
+    def test_matches_per_edge_phi(self):
+        rng = np.random.default_rng(20171)
+        odd = (65, 127, 333, 1001)
+        for case in range(210):
+            m = int(rng.integers(2, 33))
+            if m & (m - 1) == 0 and case % 2 == 0:
+                con = ask_constellation(m, ("gray", "natural")[case % 4 // 2])
+            else:
+                # arbitrary real points: unsorted, unevenly spaced, any scale
+                pts = rng.normal(0.0, 10 ** rng.uniform(-1, 1), m)
+                con = Alphabet(tuple(range(m)), signal_points=tuple(pts))
+            sigma = float(10 ** rng.uniform(-2, 1))
+            cells = (4096 if case % 30 == 0 else odd[case % 4] if case % 3 == 0
+                     else int(rng.integers(64, 600)))
+            grid = GridSpec(cells, float(rng.uniform(6, 12)))
+            old = per_edge_awgn_quantized(con, sigma, grid)
+            new = awgn_quantized(con, sigma, grid)
+            assert np.array_equal(new.w, old.w), (case, m, sigma, grid)
+            assert new.output.symbols == old.output.symbols
+            assert new.output.signal_points == old.output.signal_points
 
 
 class TestPosterior:

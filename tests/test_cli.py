@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from psrates import binary_entropy, bsc, likelihood_metric, uniform_pmf
+from psrates import channel as chmod
 from psrates.cli import main
 from psrates.rates import achievable_transmission_rate
 
@@ -87,6 +89,34 @@ class TestSweepCommand:
         assert rows[0][-1] == "0"
         assert rows[-1][-1] == "1"  # eps=1.2 is out of range
         assert "1.2" in err
+
+    def test_s_sweep_builds_scenario_once(self, capsys, monkeypatch):
+        built = []
+        real = chmod.awgn_quantized
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chmod, "awgn_quantized", counted)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--channel", "awgn-ask:4,0.6,64", "--input", "mb:0.1",
+            "--metric", "bitwise-posterior", "--param", "s",
+            "--start", "0.5", "--stop", "1.5", "--steps", "5",
+        )
+        assert code == 0 and len(built) == 1
+        assert [l.split(",")[-1] for l in out.strip().split("\n")[2:]] == ["0"] * 5
+
+    def test_s_sweep_failed_build_flags_every_point(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--channel", "bsc:0.11", "--input", "uniform:3",
+            "--metric", "likelihood", "--param", "s",
+            "--start", "0.5", "--stop", "1.5", "--steps", "3",
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().split("\n")[2:]]
+        assert rows == [[v, "", "", "", "", "", "", "1"] for v in ("0.5", "1", "1.5")]
+        assert err.count("does not match channel input size") == 3
 
     def test_s_sweep_peaks_at_one(self, capsys):
         code, out, _ = run_cli(
@@ -245,6 +275,33 @@ class TestErrorHandling:
             "--metric", "likelihood",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("channel, name", [
+        ("awgn-ask:8,inf", "noise sigma"),
+        ("awgn-ask:8,nan", "noise sigma"),
+        ("awgn-ask:8,0.5,512,nan", "grid span"),
+        ("awgn-ask:8,0.5,512,inf", "grid span"),
+    ])
+    def test_non_finite_grid_parameter(self, capsys, channel, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "rates", "--channel", channel, "--input", "uniform",
+                "--metric", "likelihood",
+            )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name}") and "RuntimeWarning" not in err
+        assert caught == []
+
+    @pytest.mark.parametrize("channel", ["awgn-ask:8", "mary:4", "bsc:0.1,0.2",
+                                         "awgn-ask:8,0.5,512,8,1"])
+    def test_wrong_selector_field_count(self, capsys, channel):
+        code, out, err = run_cli(
+            capsys, "rates", "--channel", channel, "--input", "uniform",
+            "--metric", "likelihood",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --channel:")
 
     @pytest.mark.parametrize("flag, content", [
         ("--channel", {"input": {"symbols": [0, 1]}, "rows": [[0.9, 0.1], [0.1, 0.9]]}),

@@ -55,6 +55,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             layered_config(trials=0)
 
+    @pytest.mark.parametrize("eps_typ", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_rejected(self, eps_typ):
+        with pytest.raises(ValueError, match="eps_typ"):
+            layered_config(eps_typ=eps_typ)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             layered_config(mode="layered")
