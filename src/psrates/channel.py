@@ -109,9 +109,12 @@ def awgn_quantized(constellation, noise_sigma, grid=GridSpec()):
         raise ValueError(f"output grid [{lo}, {hi}] is degenerate or not finite")
     edges = np.linspace(lo, hi, grid.cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    t = (edges[None, :] - pts[:, None]) / noise_sigma / math.sqrt(2)
-    erf = np.fromiter(map(math.erf, t.ravel().tolist()), float, t.size)
-    cdf = 0.5 * (1 + erf.reshape(t.shape))
+    t = edges - pts[:, None]
+    t /= noise_sigma
+    t /= math.sqrt(2)
+    cdf = np.fromiter(map(math.erf, t.flat), float, t.size).reshape(t.shape)
+    cdf += 1
+    cdf *= 0.5
     w = np.diff(cdf, axis=1)
     w[:, 0] += cdf[:, 0]
     w[:, -1] += 1 - cdf[:, -1]

@@ -68,9 +68,9 @@ def parse_channel(spec, **override):
     if names is None:
         return _load_json(spec, "--channel", "spec", chmod.Dmc.from_json_dict)
     fields = text.split(",")
-    if not min(len(names), 2) <= len(fields) <= len(names):  # CELLS, SPAN optional
+    p = dict(zip(names, fields), **override)  # an overridden field counts as given
+    if len(fields) > len(names) or len(p) < min(len(names), 2):  # CELLS, SPAN optional
         raise CliError(f"--channel: wrong number of fields in {spec!r}")
-    p = dict(zip(names, fields), **override)
     if family == "bsc":
         return chmod.bsc(float(p["eps"]))
     if family == "mary":
@@ -138,10 +138,6 @@ def parse_metric(spec, p_x, ch, power_s=None, exp_s=None):
         q = metmod.bit_metric_product(levels, ch.input, ch.output)
     else:
         q = _load_json(spec, "--metric", "selector", metmod.Metric.from_json_dict)
-    return _transformed(q, power_s, exp_s)
-
-
-def _transformed(q, power_s, exp_s):
     if power_s is not None:
         q = metmod.power_transform(q, power_s)
     if exp_s is not None:
@@ -193,41 +189,30 @@ def cmd_sweep(args):
     )
     print(f"# schema: psrates.sweep.{args.param}.v1")
     print(",".join(RATE_COLUMNS))
-    scenario_at = None
-    for v in map(float, values):
-        try:
-            # built at the first point; a failed build is retried and fails every row
-            scenario_at = scenario_at or _sweep_scenario(args)
-            rep = rates.achievable_transmission_rate(*scenario_at(v))
-            row = (
-                _fmt(v), _fmt(rep.uncertainty), _fmt(rep.t_c),
-                _fmt(rep.divergence_to_uniform), _fmt(rep.r_ps),
-                _fmt(rep.r_ps_by_perspective[0]), str(int(rep.clamped)), "0",
-            )
-        except (ValueError, CliError) as e:
-            print(f"sweep point {v}: {e}", file=sys.stderr)
-            row = (_fmt(v), "", "", "", "", "", "", "1")
+    for v in values:
+        row = _sweep_point(args, float(v))
         print(",".join(row))
 
 
-def _sweep_scenario(args):
-    """v -> (p_x, ch, q); what does not depend on v is built once, here."""
-    if args.param == "s":
-        ch = parse_channel(args.channel)
+def _sweep_point(args, v):
+    try:
+        power_s, override = args.power_s, {args.param: v}
+        if args.param == "s":
+            power_s, override = v, {}
+        elif args.param not in _CHANNEL_FIELDS.get(args.channel.partition(":")[0], ()):
+            raise CliError(f"--param {args.param}: channel {args.channel!r} has no such field")
+        ch = parse_channel(args.channel, **override)
         p_x = parse_input(args.input, ch)
-        q = parse_metric(args.metric, p_x, ch)
-        return lambda v: (p_x, ch, _transformed(q, v, args.exp_s))
-    family = args.channel.partition(":")[0] if ":" in args.channel else None
-    if args.param == "eps" and family not in ("bsc", "mary"):
-        raise CliError("--param eps: needs a bsc: or mary: channel")
-    if args.param == "sigma" and family != "awgn-ask":
-        raise CliError("--param sigma: needs an awgn-ask: channel")
-
-    def scenario_at(v):
-        ch = parse_channel(args.channel, **{args.param: v})
-        p_x = parse_input(args.input, ch)
-        return p_x, ch, parse_metric(args.metric, p_x, ch, args.power_s, args.exp_s)
-    return scenario_at
+        q = parse_metric(args.metric, p_x, ch, power_s, args.exp_s)
+        rep = rates.achievable_transmission_rate(p_x, ch, q)
+        return (
+            _fmt(v), _fmt(rep.uncertainty), _fmt(rep.t_c),
+            _fmt(rep.divergence_to_uniform), _fmt(rep.r_ps),
+            _fmt(rep.r_ps_by_perspective[0]), str(int(rep.clamped)), "0",
+        )
+    except (ValueError, CliError) as e:
+        print(f"sweep point {v}: {e}", file=sys.stderr)
+        return (_fmt(v), "", "", "", "", "", "", "1")
 
 
 def cmd_gmi(args):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from psrates import binary_entropy, bsc, likelihood_metric, uniform_pmf
-from psrates import channel as chmod
 from psrates.cli import main
 from psrates.rates import achievable_transmission_rate
 
@@ -90,22 +89,30 @@ class TestSweepCommand:
         assert rows[-1][-1] == "1"  # eps=1.2 is out of range
         assert "1.2" in err
 
-    def test_s_sweep_builds_scenario_once(self, capsys, monkeypatch):
-        built = []
-        real = chmod.awgn_quantized
+    @pytest.mark.parametrize("given, swept, param", [
+        ("mary:4,0.9", "mary:4", "eps"),
+        ("bsc:0.9", "bsc:x", "eps"),
+        ("awgn-ask:4,9", "awgn-ask:4", "sigma"),
+        ("awgn-ask:4,9,64,6", "awgn-ask:4,x,64,6", "sigma"),
+    ])
+    def test_swept_field_omitted_or_ignored(self, capsys, given, swept, param):
+        outs = [run_cli(
+            capsys, "sweep", "--channel", channel, "--input", "uniform",
+            "--metric", "likelihood", "--param", param,
+            "--start", "0.25", "--stop", "0.45", "--steps", "3",
+        ) for channel in (given, swept)]
+        assert outs[0] == outs[1]
+        assert [l.split(",")[-1] for l in outs[0][1].strip().split("\n")[2:]] == ["0"] * 3
 
-        def counted(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(chmod, "awgn_quantized", counted)
-        code, out, _ = run_cli(
-            capsys, "sweep", "--channel", "awgn-ask:4,0.6,64", "--input", "mb:0.1",
-            "--metric", "bitwise-posterior", "--param", "s",
-            "--start", "0.5", "--stop", "1.5", "--steps", "5",
+    def test_param_not_a_channel_field(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--channel", "bsc:0.1", "--input", "uniform",
+            "--metric", "likelihood", "--param", "sigma",
+            "--start", "0.1", "--stop", "0.3", "--steps", "2",
         )
-        assert code == 0 and len(built) == 1
-        assert [l.split(",")[-1] for l in out.strip().split("\n")[2:]] == ["0"] * 5
+        assert code == 0
+        assert [l.split(",")[-1] for l in out.strip().split("\n")[2:]] == ["1"] * 2
+        assert err.count("--param sigma: channel 'bsc:0.1' has no such field") == 2
 
     def test_s_sweep_failed_build_flags_every_point(self, capsys):
         code, out, err = run_cli(
