@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Alphabet, Pmf
-
-ROW_TOL = 1e-9
+from .core import Alphabet, Pmf, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -25,18 +23,8 @@ class Dmc:
     w: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (len(self.input), len(self.output)):
-            raise ValueError("channel matrix shape must be |X| x |Y|")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("channel probabilities must be finite")
-        if np.any(w < 0):
-            raise ValueError("channel probabilities must be non-negative")
-        rows = w.sum(axis=1)
-        if np.any(np.abs(rows - 1) > ROW_TOL):
-            raise ValueError("channel matrix rows must sum to 1")
-        w = w / rows[:, None]
-        w.setflags(write=False)
+        shape = (len(self.input), len(self.output))
+        w = _frozen_array(self.w, shape, "channel probabilities", normalize=True)
         object.__setattr__(self, "w", w)
 
     def to_json_dict(self):
@@ -139,12 +127,19 @@ def ask_constellation(M, labeling="gray"):
 
 
 def maxwell_boltzmann_pmf(alphabet, lam):
-    """Shaped distribution p(x) proportional to exp(-lam * x^2)."""
+    """Shaped distribution p(x) proportional to exp(-lam * x^2).
+
+    Raises ValueError unless the weights are finite and not all zero.
+    """
     if alphabet.signal_points is None:
         raise ValueError("alphabet must carry signal points")
     pts = np.asarray(alphabet.signal_points)
-    p = np.exp(-lam * pts ** 2)
-    return Pmf(alphabet, p / p.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.exp(-lam * pts ** 2)
+        total = p.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"lambda {lam}: Maxwell-Boltzmann weights must be finite and not all 0")
+    return Pmf(alphabet, p / total)
 
 
 def posterior(p_x, ch):
@@ -153,8 +148,7 @@ def posterior(p_x, ch):
     Columns for unreachable outputs (zero output probability) are zero and
     must be excluded from expectations by the caller.
     """
-    _check_input(p_x, ch)
-    joint = p_x.probs[:, None] * ch.w
+    joint = _joint(p_x, ch)
     p_y = joint.sum(axis=0)
     post = np.zeros_like(joint)
     reach = p_y > 0
@@ -167,11 +161,8 @@ def bit_marginal(p_labels, ch, j):
 
     Returns (P_Bj as a Pmf on {0,1}, Dmc from {0,1} to the channel output).
     """
-    labels_m = ch.input.label_length
-    if not 1 <= j <= labels_m:
-        raise ValueError(f"level {j} out of range 1..{labels_m}")
+    bits = ch.input.bits(j)
     _check_input(p_labels, ch)
-    bits = np.array([ch.input.bit(i, j) for i in range(len(ch.input))])
     binary = Alphabet((0, 1), labels=("0", "1"))
     pb = np.array([p_labels.probs[bits == a].sum() for a in (0, 1)])
     if np.any(pb == 0):
@@ -210,14 +201,14 @@ def icm_mixture(p_vec, ch_vec):
     result is the distribution and channel law of (X_I, Y_I) with I uniform
     over positions, which is the scalar pair seen by an interleaved decoder.
     """
-    _check_input(p_vec, ch_vec)
+    joint = _joint(p_vec, ch_vec)
     in_base, m = _product_base(ch_vec.input)
     out_base, m_out = _product_base(ch_vec.output)
     if m_out != m:
         raise ValueError("input and output products must have the same length")
     nx, ny = len(in_base), len(out_base)
     # lexicographic product order makes axis j the j-th tuple position
-    joint = (p_vec.probs[:, None] * ch_vec.w).reshape((nx,) * m + (ny,) * m)
+    joint = joint.reshape((nx,) * m + (ny,) * m)
     mix = sum(
         joint.sum(axis=tuple(k for k in range(2 * m) if k not in (j, m + j)))
         for j in range(m)
@@ -232,3 +223,9 @@ def icm_mixture(p_vec, ch_vec):
 def _check_input(p_x, ch):
     if p_x.alphabet.symbols != ch.input.symbols:
         raise ValueError("input distribution is not on the channel input alphabet")
+
+
+def _joint(p_x, ch):
+    """Joint P_X(x) W(y|x) as an |X| x |Y| array, after the alphabet check."""
+    _check_input(p_x, ch)
+    return p_x.probs[:, None] * ch.w

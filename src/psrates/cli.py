@@ -118,23 +118,18 @@ def parse_metric(spec, p_x, ch, power_s=None, exp_s=None):
         q = metmod.posterior_metric(p_x, ch)
     elif spec == "likelihood":
         q = metmod.likelihood_metric(ch)
-    elif spec == "bitwise-posterior":
-        m = ch.input.label_length
-        levels = []
-        for j in range(1, m + 1):
-            pb, chb = chmod.bit_marginal(p_x, ch, j)
-            levels.append(metmod.posterior_metric(pb, chb))
-        q = metmod.bit_metric_product(levels, ch.input, ch.output)
     elif spec == "hamming":
         quant = metmod.map_quantizer(p_x, ch)
         q = metmod.hard_decision_metric(quant, ch.input)
-    elif spec == "hamming-binary":
-        m = ch.input.label_length
+    elif spec in ("bitwise-posterior", "hamming-binary"):
         levels = []
-        for j in range(1, m + 1):
+        for j in range(1, ch.input.label_length + 1):
             pb, chb = chmod.bit_marginal(p_x, ch, j)
-            quant = metmod.map_quantizer(pb, chb)
-            levels.append(metmod.hard_decision_metric(quant, pb.alphabet))
+            if spec == "bitwise-posterior":
+                levels.append(metmod.posterior_metric(pb, chb))
+            else:
+                quant = metmod.map_quantizer(pb, chb)
+                levels.append(metmod.hard_decision_metric(quant, pb.alphabet))
         q = metmod.bit_metric_product(levels, ch.input, ch.output)
     else:
         q = _load_json(spec, "--metric", "selector", metmod.Metric.from_json_dict)

@@ -63,16 +63,29 @@ class Alphabet:
             raise ValueError("alphabet has no labels")
         return len(self.labels[0])
 
+    def indices(self, seq):
+        """Position of each symbol of seq in this alphabet, as an intp array.
+
+        Raises ValueError on a symbol that is not in the alphabet.
+        """
+        lookup = {s: i for i, s in enumerate(self.symbols)}
+        try:
+            return np.array([lookup[s] for s in seq], dtype=np.intp)
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]!r} not in alphabet") from None
+
     def index(self, symbol):
-        return self.symbols.index(symbol)
+        return int(self.indices([symbol])[0])
+
+    def bits(self, level):
+        """Label bit at 1-based level of every symbol, as an index array."""
+        if not 1 <= level <= self.label_length:
+            raise ValueError(f"level {level} out of range 1..{self.label_length}")
+        return np.array([int(l[level - 1]) for l in self.labels])
 
     def bit(self, symbol_index, level):
         """Bit of the label at 1-based level for the given symbol index."""
-        if self.labels is None:
-            raise ValueError("alphabet has no labels")
-        if not 1 <= level <= self.label_length:
-            raise ValueError(f"level {level} out of range 1..{self.label_length}")
-        return int(self.labels[symbol_index][level - 1])
+        return int(self.bits(level)[symbol_index])
 
     def to_json_dict(self):
         d = {"symbols": list(self.symbols)}
@@ -104,22 +117,8 @@ class Pmf:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (len(self.alphabet),):
-            raise ValueError("need one probability per symbol")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        s = p.sum()
-        if not (1 - SUM_TOL <= s <= 1 + SUM_TOL):
-            raise ValueError(f"probabilities sum to {s}, not 1")
-        p = p / s
-        p.setflags(write=False)
+        p = _frozen_array(self.probs, (len(self.alphabet),), "probabilities", normalize=True)
         object.__setattr__(self, "probs", p)
-
-    @property
-    def support(self):
-        """Indices of symbols with positive probability."""
-        return np.flatnonzero(self.probs > 0)
 
     def to_json_dict(self):
         d = self.alphabet.to_json_dict()
@@ -175,6 +174,34 @@ def divergence(p, z):
     if math.isinf(x):
         return math.inf
     return x - entropy(p)
+
+
+def _frozen_array(values, shape, what, normalize=False):
+    """Read-only float64 array of values that shares no memory with them,
+    checked for a real dtype, the given shape and finite, non-negative
+    entries; what names them in errors. normalize also requires every sum
+    along the last axis to lie within SUM_TOL of one, and divides by it.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
+    if a.shape != shape:
+        raise ValueError(f"{what}: need shape {shape}, got {a.shape}")
+    a = a.astype(float, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(a < 0):
+        raise ValueError(f"{what} must be non-negative")
+    if normalize:
+        sums = a.sum(axis=-1, keepdims=True)
+        off = sums[np.abs(sums - 1) > SUM_TOL]
+        if off.size:
+            raise ValueError(f"{what} sum to {off[0]}, not 1")
+        a = a / sums
+    else:
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def _check_same_alphabet(p, z):

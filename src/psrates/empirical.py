@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Pmf
-
 
 @dataclass(frozen=True)
 class SequencePair:
@@ -29,22 +27,14 @@ class SequencePair:
             raise ValueError("sequences must be non-empty")
 
 
-def _indices(seq, alphabet):
-    lookup = {s: i for i, s in enumerate(alphabet.symbols)}
-    try:
-        return np.array([lookup[s] for s in seq])
-    except KeyError as e:
-        raise ValueError(f"symbol {e.args[0]!r} not in alphabet") from None
-
-
 def _per_term_rates(pair, q):
-    """log2 q(x_i,y_i) / (sum_a q(a,y_i)/|X|) for each position i."""
-    xi = _indices(pair.x_seq, q.input)
-    yi = _indices(pair.y_seq, q.output)
+    """(xi, yi, terms): the index sequences of the pair and, for each
+    position i, log2 q(x_i,y_i) / (sum_a q(a,y_i)/|X|)."""
+    xi = q.input.indices(pair.x_seq)
+    yi = q.output.indices(pair.y_seq)
     denom = q.q.sum(axis=0) / len(q.input)
-    num = q.q[xi, yi]
     with np.errstate(divide="ignore"):
-        return np.log2(num) - np.log2(denom[yi])
+        return xi, yi, np.log2(q.q[xi, yi]) - np.log2(denom[yi])
 
 
 def empirical_code_rate(pair, q):
@@ -54,13 +44,11 @@ def empirical_code_rate(pair, q):
     form log2|X| minus the empirical uncertainty is computed as a
     cross-check.
     """
-    terms = _per_term_rates(pair, q)
+    xi, yi, terms = _per_term_rates(pair, q)
     t_hat = float(terms.mean())
     if math.isinf(t_hat):
         return t_hat
     # alternative form: log2|X| - mean(-log2 q / sum_a q)
-    xi = _indices(pair.x_seq, q.input)
-    yi = _indices(pair.y_seq, q.output)
     full = q.q.sum(axis=0)
     alt = math.log2(len(q.input)) - float(
         (-np.log2(q.q[xi, yi] / full[yi])).mean()
@@ -76,8 +64,7 @@ def composition_sorted_rate(pair, q):
     The frequency-weighted recombination of the inner averages equals the
     empirical code rate (algebraic identity).
     """
-    terms = _per_term_rates(pair, q)
-    xi = _indices(pair.x_seq, q.input)
+    xi, _, terms = _per_term_rates(pair, q)
     n = len(pair.x_seq)
     out = {}
     for a, symbol in enumerate(q.input.symbols):

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Dmc, posterior
-from .core import Alphabet, Pmf
+from .channel import _joint, posterior
+from .core import Alphabet, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,9 @@ class Metric:
     q: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (len(self.input), len(self.output)):
-            raise ValueError("metric shape must be |X| x |Y|")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("metric entries must be finite")
-        if np.any(q < 0):
-            raise ValueError("metric entries must be non-negative")
+        q = _frozen_array(self.q, (len(self.input), len(self.output)), "metric entries")
         if np.any(q.sum(axis=0) <= 0):
             raise ValueError("every metric column needs a positive entry")
-        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
     def log2_q(self):
@@ -71,9 +64,6 @@ class Quantizer:
         if len(self.targets) != len(self.output):
             raise ValueError("need one target per output symbol")
 
-    def target_indices(self, target_alphabet):
-        return np.array([target_alphabet.index(t) for t in self.targets])
-
 
 def posterior_metric(p_x, ch, scaled=False):
     """Posterior P(x|y) as decoding metric; optionally scaled by P(y).
@@ -93,7 +83,7 @@ def posterior_metric(p_x, ch, scaled=False):
 
 def likelihood_metric(ch):
     """Channel law itself as decoding metric, q(a,b) = p(b|a)."""
-    return Metric(ch.input, ch.output, np.array(ch.w))
+    return Metric(ch.input, ch.output, ch.w)
 
 
 def power_transform(q, s):
@@ -122,22 +112,18 @@ def bit_metric_product(per_level, input_alphabet, output_alphabet):
     m = input_alphabet.label_length
     if len(per_level) != m:
         raise ValueError(f"need {m} level metrics, got {len(per_level)}")
-    levels = []
-    for lvl in per_level:
+    q = np.ones((len(input_alphabet), len(output_alphabet)))
+    for j, lvl in enumerate(per_level, start=1):
         arr = np.asarray(lvl.q if isinstance(lvl, Metric) else lvl, dtype=float)
         if arr.shape != (2, len(output_alphabet)):
             raise ValueError("each level metric must be 2 x |Y|")
-        levels.append(arr)
-    q = np.ones((len(input_alphabet), len(output_alphabet)))
-    for i in range(len(input_alphabet)):
-        for j in range(m):
-            q[i] *= levels[j][input_alphabet.bit(i, j + 1)]
+        q *= arr[input_alphabet.bits(j)]
     return Metric(input_alphabet, output_alphabet, q)
 
 
 def hard_decision_metric(quant, target):
     """Hamming indicator metric: 1 where the quantizer decides the symbol."""
-    idx = quant.target_indices(target)
+    idx = target.indices(quant.targets)
     q = np.zeros((len(target), len(quant.output)))
     q[idx, np.arange(len(quant.output))] = 1.0
     return Metric(target, quant.output, q)
@@ -145,8 +131,7 @@ def hard_decision_metric(quant, target):
 
 def map_quantizer(p_x, ch):
     """Maximum a posteriori decision regions; ties go to the lowest index."""
-    joint = p_x.probs[:, None] * ch.w
-    decisions = joint.argmax(axis=0)
+    decisions = _joint(p_x, ch).argmax(axis=0)
     return Quantizer(ch.output, tuple(ch.input.symbols[i] for i in decisions))
 
 

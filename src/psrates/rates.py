@@ -11,11 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _product_base, bit_marginal, icm_mixture
+from .channel import _joint, _product_base, bit_marginal, icm_mixture
 from .core import binary_entropy, entropy
 from .metric import exp_transform, power_transform
 
 PERSPECTIVE_TOL = 1e-10
+
+# Log-spaced grid points and golden-section steps of the s-maximizer.
+GRID_POINTS = 64
+REFINE_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -40,12 +44,6 @@ class RateReport:
             "r_ps_output_perspective": self.r_ps_by_perspective[2],
             "clamped": self.clamped,
         }
-
-
-def _joint(p_x, ch):
-    if p_x.alphabet.symbols != ch.input.symbols:
-        raise ValueError("input distribution is not on the channel input alphabet")
-    return p_x.probs[:, None] * ch.w
 
 
 def _check_metric(ch, q):
@@ -147,8 +145,7 @@ def bmd_rate(p_labels, ch):
     # independence check: joint label pmf factorizes over levels
     prod = np.ones(len(ch.input))
     for j, pb in enumerate(level_pmfs, start=1):
-        bits = np.array([ch.input.bit(i, j) for i in range(len(ch.input))])
-        prod *= pb.probs[bits]
+        prod *= pb.probs[ch.input.bits(j)]
     if np.allclose(prod, p_labels.probs, atol=1e-12):
         if abs(pre - mi_sum) > 1e-9:
             raise AssertionError("independent-level BMD identity violated")
@@ -181,7 +178,7 @@ def _gmi_integrand(p_x, ch, q, s):
     return float(val / math.log(2))
 
 
-def _maximize_log_s(f, s_min, s_max, grid_points, refine_iters):
+def _maximize_log_s(f, s_min, s_max):
     """Maximizer of f over [s_min, s_max], which need not be unimodal.
 
     Evaluates f on a log-spaced grid, then refines around the best grid
@@ -189,14 +186,14 @@ def _maximize_log_s(f, s_min, s_max, grid_points, refine_iters):
     """
     if not 0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
-    grid = np.logspace(math.log10(s_min), math.log10(s_max), grid_points)
+    grid = np.logspace(math.log10(s_min), math.log10(s_max), GRID_POINTS)
     i = int(np.argmax([f(s) for s in grid]))
     a = math.log(grid[max(i - 1, 0)])
-    b = math.log(grid[min(i + 1, grid_points - 1)])
+    b = math.log(grid[min(i + 1, GRID_POINTS - 1)])
     invphi = (math.sqrt(5) - 1) / 2
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(math.exp(c)), f(math.exp(d))
-    for _ in range(refine_iters):
+    for _ in range(REFINE_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -208,7 +205,7 @@ def _maximize_log_s(f, s_min, s_max, grid_points, refine_iters):
     return math.exp((a + b) / 2)
 
 
-def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3, grid_points=64, refine_iters=40):
+def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3):
     """Generalized mutual information: maximize the s-family over a bracket.
 
     The maximizer is the shared log-grid plus golden-section search, followed
@@ -217,7 +214,7 @@ def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3, grid_points=64, refine_iters=40):
     """
     _check_metric(ch, q)
     f = lambda s: _gmi_integrand(p_x, ch, q, s)
-    s_star = _maximize_log_s(f, s_min, s_max, grid_points, refine_iters)
+    s_star = _maximize_log_s(f, s_min, s_max)
     h = 1e-4 * s_star
     f0, fm, fp = f(s_star), f(s_star - h), f(s_star + h)
     denom = fm - 2 * f0 + fp
@@ -246,7 +243,8 @@ def lm_rate(p_x, ch, q, s, r):
         return 0.0
     qs = q.q ** s
     denom = (p_x.probs[supp, None] * qs[supp] * r[supp, None]).sum(axis=0)
-    term = np.where(mask, qs * r[:, None] / denom, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # denom is 0 only off the mask
+        term = np.where(mask, qs * r[:, None] / denom, 1.0)
     return max(0.0, float((joint[mask] * np.log2(term[mask])).sum()))
 
 
@@ -257,12 +255,8 @@ def hard_decision_rate(p_x, ch, quant):
     e^s that makes the exponential Hamming family attain the rate (+inf for
     a noiseless quantizer).
     """
-    if set(quant.targets) - set(ch.input.symbols):
-        raise ValueError("quantizer targets must be channel input symbols")
-    idx = quant.target_indices(ch.input)
-    correct = sum(
-        float(p_x.probs[a] * ch.w[a, idx == a].sum()) for a in range(len(ch.input))
-    )
+    idx = ch.input.indices(quant.targets)
+    correct = float(_joint(p_x, ch)[idx, np.arange(len(idx))].sum())
     eps = 1.0 - correct
     eps = min(max(eps, 0.0), 1.0)
     if eps >= 1:
@@ -285,10 +279,8 @@ def binary_hard_decision_rate(p_labels, ch, quants):
         raise ValueError(f"need {m} quantizers, got {len(quants)}")
     eps_sum = 0.0
     for j, quant in enumerate(quants, start=1):
-        if set(quant.targets) - {0, 1}:
-            raise ValueError("level quantizers must be binary")
         pb, chb = bit_marginal(p_labels, ch, j)
-        decisions = np.array(quant.targets)
+        decisions = pb.alphabet.indices(quant.targets)
         for a in (0, 1):
             eps_sum += pb.probs[a] * chb.w[a, decisions != a].sum()
     eps = eps_sum / m
@@ -299,28 +291,21 @@ def binary_hard_decision_rate(p_labels, ch, quants):
 def t_c_epsilon_lower_bound(p_x, ch, q, eps_typ):
     """Achievable code rate for any codeword in the eps-typical shaping set:
     the exact-composition value minus the typicality correction term."""
-    if eps_typ < 0:
-        raise ValueError("typicality tolerance must be non-negative")
+    if not 0 <= eps_typ < math.inf:
+        raise ValueError(f"typicality tolerance must be finite and non-negative, got {eps_typ}")
     _check_metric(ch, q)
-    nx = len(p_x.alphabet)
-    denom = q.q.sum(axis=0) / nx
-    base = 0.0
-    correction = 0.0
-    for a in range(nx):
-        if p_x.probs[a] == 0:
-            continue
-        row = ch.w[a]
-        mask = row > 0
-        if np.any(q.q[a, mask] == 0):
-            return -math.inf
-        e_a = float((row[mask] * np.log2(q.q[a, mask] / denom[mask])).sum())
-        base += p_x.probs[a] * e_a
-        correction += p_x.probs[a] * abs(e_a)
-    return base - eps_typ * correction
+    mask = _joint(p_x, ch) > 0
+    if np.any(q.q[mask] == 0):
+        return -math.inf
+    denom = q.q.sum(axis=0) / len(p_x.alphabet)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(mask, np.log2(q.q / denom), 0.0)
+    # e[a]: expected log-ratio given input a; rows outside the support give 0
+    e = (ch.w * log_ratio).sum(axis=1)
+    return float(p_x.probs @ e - eps_typ * (p_x.probs @ np.abs(e)))
 
 
-def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3,
-                             grid_points=64, refine_iters=40):
+def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3):
     """Maximize the shaped rate over the order-preserving s-family of q.
 
     family "power" sweeps q^s, family "exp" sweeps exp(s*q) (the right
@@ -343,5 +328,5 @@ def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3,
             return -math.inf
         return rep.r_ps_by_perspective[0]
 
-    s_star = _maximize_log_s(pre_clamp, s_min, s_max, grid_points, refine_iters)
+    s_star = _maximize_log_s(pre_clamp, s_min, s_max)
     return achievable_transmission_rate(p_x, ch, make(s_star)), s_star

@@ -185,7 +185,9 @@ def run(cfg):
         w_hat = int(winners[0])
         w_error = not (winners.size == 1 and w_hat == w)
         u_error = (w_hat // n_v) != u
-        pair = SequencePair(tuple(x.tolist()), tuple(y.tolist()))
+        # x and y hold indices; the empirical rates look symbols up
+        pair = SequencePair([cfg.ch.input.symbols[i] for i in x.tolist()],
+                            [cfg.ch.output.symbols[j] for j in y.tolist()])
         t_hat = empirical_code_rate(pair, cfg.q)
         bound = pairwise_union_bound(pair, cfg.q, realized_r_c)
         records.append(TrialRecord(failed, w_error, u_error, t_hat, bound))

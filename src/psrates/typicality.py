@@ -51,12 +51,8 @@ def is_typical(x_seq, spec):
     seq = list(x_seq)
     if len(seq) != spec.n:
         raise ValueError(f"sequence length {len(seq)} != {spec.n}")
-    index = {s: i for i, s in enumerate(spec.p_x.alphabet.symbols)}
-    counts = [0] * len(index)
-    for x in seq:
-        if x not in index:
-            raise ValueError(f"symbol {x!r} not in alphabet")
-        counts[index[x]] += 1
+    alphabet = spec.p_x.alphabet
+    counts = np.bincount(alphabet.indices(seq), minlength=len(alphabet))
     return is_typical_counts(counts, spec)
 
 

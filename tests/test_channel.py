@@ -60,6 +60,16 @@ class TestDmc:
         with pytest.raises(ValueError, match="finite"):
             Dmc(a, a, [[bad, bad], [0.5, 0.5]])
 
+    def test_rows_and_shape_checked(self):
+        a = Alphabet((0, 1))
+        with pytest.raises(ValueError, match="channel probabilities sum to 1.1, not 1"):
+            Dmc(a, a, [[0.9, 0.1], [0.5, 0.6]])
+        with pytest.raises(ValueError, match=r"need shape \(2, 2\), got \(2, 3\)"):
+            Dmc(a, a, [[0.9, 0.1, 0.0], [0.5, 0.5, 0.0]])
+        # rows within the tolerance are renormalised exactly
+        ch = Dmc(a, a, [[0.9, 0.1 + 1e-10], [0.5, 0.5]])
+        assert ch.w.sum(axis=1).tolist() == [1.0, 1.0]
+
 
 def per_edge_awgn_quantized(constellation, noise_sigma, grid):
     """The former awgn_quantized: one scalar erf call per grid edge and point."""

@@ -201,6 +201,16 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: typicality tolerance")
 
+    def test_awgn_ask_channel(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--channel", "awgn-ask:4,0.5,64", "--input", "uniform",
+            "--metric", "bitwise-posterior", "--mode", "layered-ps", "--n", "8",
+            "--rc", "1.5", "--rtx", "1", "--eps-typ", "0.5", "--trials", "4", "--seed", "1",
+        )
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["trials"] == 4 and math.isfinite(d["t_hat_mean"])
+
     def test_infeasible_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--channel", "bsc:0.05", "--input", "uniform",
@@ -298,6 +308,18 @@ class TestErrorHandling:
             )
         assert code == 2 and out == ""
         assert err.startswith(f"error: {name}") and "RuntimeWarning" not in err
+        assert caught == []
+
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-1e9", "1e9"])
+    def test_bad_maxwell_boltzmann_lambda(self, capsys, lam):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "rates", "--channel", "awgn-ask:8,0.5,64", "--input", f"mb:{lam}",
+                "--metric", "likelihood",
+            )
+        assert code == 2 and out == ""
+        assert err.startswith("error: lambda") and "RuntimeWarning" not in err
         assert caught == []
 
     @pytest.mark.parametrize("channel", ["awgn-ask:8", "mary:4", "bsc:0.1,0.2",

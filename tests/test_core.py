@@ -41,6 +41,26 @@ class TestAlphabet:
         assert a.bit(2, 2) == 1
         assert a.bit(3, 2) == 0
 
+    def test_bits(self):
+        a = Alphabet((0, 1, 2, 3), labels=("00", "01", "11", "10"))
+        assert a.bits(1).tolist() == [0, 0, 1, 1]
+        assert a.bits(2).tolist() == [0, 1, 1, 0]
+
+    def test_bits_level_checked(self):
+        a = Alphabet((0, 1), labels=("0", "1"))
+        with pytest.raises(ValueError, match="out of range"):
+            a.bits(2)
+        with pytest.raises(ValueError, match="no labels"):
+            A2.bits(1)
+
+    def test_indices(self):
+        a = Alphabet(("b", 3, 1.5))
+        assert a.indices([1.5, "b", "b", 3]).tolist() == [2, 0, 0, 1]
+        assert a.indices([]).dtype == np.intp
+        assert a.index(3) == 1
+        with pytest.raises(ValueError, match="symbol 'c' not in alphabet"):
+            a.indices(["b", "c"])
+
 
 class TestPmf:
     def test_rejects_negative(self):
@@ -50,6 +70,17 @@ class TestPmf:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             pmf(A2, 0.5, 0.6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            pmf(A2, bad, 0.5)
+
+    def test_rejects_wrong_shape_and_dtype(self):
+        with pytest.raises(ValueError, match=r"need shape \(2,\), got \(3,\)"):
+            pmf(A2, 0.2, 0.3, 0.5)
+        with pytest.raises(ValueError, match="real numbers"):
+            Pmf(A2, np.array(["0.5", "0.5"]))
 
     def test_normalizes_near_one(self):
         p = pmf(A2, 0.5, 0.5 + 1e-10)

@@ -43,6 +43,13 @@ class TestMetricType:
         with pytest.raises(ValueError):
             Metric(Alphabet((0, 1)), Alphabet((0, 1)), np.array([[1.0, -1.0], [1.0, 1.0]]))
 
+    def test_keeps_own_copy(self):
+        arr = np.array([[1.0, 0.0], [0.5, 1.0]])
+        q = Metric(Alphabet((0, 1)), Alphabet((0, 1)), arr)
+        assert arr.flags.writeable and not q.q.flags.writeable
+        arr[0, 0] = 7.0
+        assert q.q[0, 0] == 1.0
+
     def test_log_accessor(self):
         q = Metric(Alphabet((0, 1)), Alphabet((0, 1)), np.array([[1.0, 0.0], [0.5, 1.0]]))
         lq = q.log2_q()

@@ -377,6 +377,13 @@ class TestTcEpsilonLowerBound:
         t_c = math.log2(2) - uncertainty(p, ch, q)
         assert t_c_epsilon_lower_bound(p, ch, q, 0.05) <= t_c + 1e-15
 
+    @pytest.mark.parametrize("eps_typ", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_rejected(self, eps_typ):
+        ch = bsc(0.1)
+        p = uniform_pmf(ch.input)
+        with pytest.raises(ValueError, match="tolerance"):
+            t_c_epsilon_lower_bound(p, ch, likelihood_metric(ch), eps_typ)
+
     def test_hand_summation_oracle(self):
         ch = bsc(0.11)
         p = Pmf(ch.input, np.array([0.7, 0.3]))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from psrates import (
+    Alphabet,
+    Dmc,
     Pmf,
     SequencePair,
     SimConfig,
@@ -168,6 +170,23 @@ class TestLayeredPs:
             x = cb[u * n_v + v]
             dup = (cb == x).all(axis=1).sum() > 1
             assert rec.w_error == dup
+
+
+class TestSymbolOrder:
+    @pytest.mark.parametrize("mode", ["layered-ps", "classical"])
+    def test_input_order_does_not_change_result(self, mode):
+        # the codebook holds indices, so relabelling the input symbols must
+        # leave the whole result, t_hat included, unchanged
+        w = np.array([[0.9, 0.1], [0.2, 0.8]])
+        results = []
+        for symbols in ((0, 1), (1, 0)):
+            ch = Dmc(Alphabet(symbols), Alphabet((0, 1)), w)
+            p = Pmf(ch.input, np.array([0.7, 0.3]))
+            cfg = layered_config(p_x=p, ch=ch, q=likelihood_metric(ch), mode=mode,
+                                 n=12, r_c=0.75, r_tx=0.5, eps_typ=0.4, trials=10)
+            results.append(run(cfg))
+        assert results[0] == results[1]
+        assert results[0].t_hat_mean > 0
 
 
 class TestClassical:
