@@ -72,6 +72,19 @@ CASES = {
     "gmi-16ask-2048-likelihood": (
         "gmi", "--channel", "awgn-ask:16,0.3,2048", "--input", "mb:0.01",
         "--metric", "likelihood"),
+    # A metric that vanishes on a positive-probability pair: -inf at every s.
+    "gmi-mary-hamming-vanishes": (
+        "gmi", "--channel", "mary:4,0.05", "--input", "uniform", "--metric", "hamming"),
+    "rates-optimize-power-json-zero": (
+        "rates", "--optimize-s", "--channel", "mary:3,0.1", "--input", "0.5,0.3,0.2",
+        "--metric", str(GOLDEN / "metric-power-one-zero.json")),
+    # A zero-probability input symbol.
+    "gmi-mary-zero-input": (
+        "gmi", "--channel", "mary:4,0.1", "--input", "0.5,0.3,0.2,0",
+        "--metric", "likelihood"),
+    "rates-optimize-power-zero-input": (
+        "rates", "--optimize-s", "--channel", "mary:4,0.1", "--input", "0.5,0.3,0.2,0",
+        "--metric", "posterior"),
     "lm-inv-input": (
         "lm", "--channel", "mary:4,0.1", "--input", "0.4,0.3,0.2,0.1",
         "--metric", "likelihood", "--s", "0.8"),
