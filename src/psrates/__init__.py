@@ -3,6 +3,7 @@ shaping with arbitrary non-negative decoding metrics."""
 
 from .core import (
     Alphabet,
+    NumericalCheckError,
     Pmf,
     binary_entropy,
     cross_entropy,

@@ -16,7 +16,7 @@ import numpy as np
 from . import channel as chmod
 from . import empirical, rates, simulator, typicality
 from . import metric as metmod
-from .core import Alphabet, Pmf, entropy, uniform_pmf
+from .core import Alphabet, NumericalCheckError, Pmf, entropy, uniform_pmf
 
 
 class CliError(Exception):
@@ -354,6 +354,9 @@ def main(argv=None):
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except NumericalCheckError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -15,6 +15,15 @@ SUM_TOL = 1e-9
 VALID_TOL = 1e-12
 
 
+class NumericalCheckError(ArithmeticError):
+    """Two forms of a quantity that must agree by an identity do not.
+
+    Raised by the internal cross-checks (the three forms of R_ps, the
+    independent-level BMD identity, the two forms of the empirical code
+    rate); the CLI reports it with exit code 3. Bad input raises ValueError.
+    """
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite alphabet, optionally with bit labels and signal points.

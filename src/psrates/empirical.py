@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import NumericalCheckError
+
 
 @dataclass(frozen=True)
 class SequencePair:
@@ -54,7 +56,7 @@ def empirical_code_rate(pair, q):
         (-np.log2(q.q[xi, yi] / full[yi])).mean()
     )
     if abs(alt - t_hat) > 1e-10 * max(1.0, abs(t_hat)):
-        raise AssertionError("empirical code rate forms disagree")
+        raise NumericalCheckError("empirical code rate forms disagree")
     return t_hat
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _joint, _product_base, bit_marginal, icm_mixture
-from .core import binary_entropy, entropy
+from .core import NumericalCheckError, binary_entropy, entropy
 from .metric import exp_transform, power_transform
 
 PERSPECTIVE_TOL = 1e-10
@@ -51,6 +51,60 @@ def _check_metric(ch, q):
         raise ValueError("metric alphabets do not match the channel")
 
 
+def _masked(values, mask):
+    """values broadcast to the shape of mask, at the entries of mask in
+    row-major order (a row of per-column or a column of per-row values)."""
+    return np.broadcast_to(values, mask.shape)[mask]
+
+
+class _Scenario:
+    """What every rate of one (P_X, channel) pair shares across metrics:
+    the support of the joint P_X.W, the joint and 1/P_X on it (row-major),
+    |X|, H(X) and D(P_X || P_U).
+    """
+
+    def __init__(self, p_x, ch):
+        joint = _joint(p_x, ch)
+        self.mask = joint > 0
+        self.joint = joint[self.mask]
+        self.inv_p = _masked(1.0 / np.where(p_x.probs > 0, p_x.probs, 1.0)[:, None], self.mask)
+        self.nx = len(p_x.alphabet)
+        self.h_x = entropy(p_x)
+        self.div = math.log2(self.nx) - self.h_x
+
+    def uncertainty(self, qs):
+        """(U, qs on the support, its column sums there) for the metric
+        entries qs; U is +inf and the arrays None if qs vanishes there."""
+        qm = qs[self.mask]
+        if np.any(qm == 0):
+            return math.inf, None, None
+        denom = _masked(qs.sum(axis=0), self.mask)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(-(self.joint * np.log2(qm / denom)).sum()), qm, denom
+
+    def r_ps(self, qs):
+        """(U, the three pre-clamp forms of R_ps) for the metric entries qs.
+
+        The forms are evaluated independently and must agree within
+        PERSPECTIVE_TOL, else NumericalCheckError; all three are -inf when
+        U is infinite.
+        """
+        u, qm, denom = self.uncertainty(qs)
+        if math.isinf(u):
+            return u, (-math.inf,) * 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # divergence perspective: expected log of q over the
+            # uniform-mixture normalizer, minus D(P_X || P_U)
+            large_code = float((self.joint * np.log2(self.nx * qm / denom)).sum()) - self.div
+            # output perspective: q reweighted by 1/P_X(X)
+            out_persp = float((self.joint * np.log2(qm * self.inv_p / denom)).sum())
+        perspectives = (self.h_x - u, large_code, out_persp)
+        spread = max(perspectives) - min(perspectives)
+        if spread > PERSPECTIVE_TOL * max(1.0, abs(perspectives[0])):
+            raise NumericalCheckError(f"rate perspectives disagree by {spread}")
+        return u, perspectives
+
+
 def uncertainty(p_x, ch, q):
     """Expected -log2 of the metric-induced posterior at the true input.
 
@@ -59,47 +113,16 @@ def uncertainty(p_x, ch, q):
     occurs with positive probability.
     """
     _check_metric(ch, q)
-    joint = _joint(p_x, ch)
-    mask = joint > 0
-    if np.any(q.q[mask] == 0):
-        return math.inf
-    denom = q.q.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, q.q / denom, 1.0)
-        return float(-(joint[mask] * np.log2(ratio[mask])).sum())
+    return _Scenario(p_x, ch).uncertainty(q.q)[0]
 
 
 def achievable_transmission_rate(p_x, ch, q):
     """Full rate report, with the three perspectives evaluated independently."""
     _check_metric(ch, q)
-    nx = len(p_x.alphabet)
-    h_x = entropy(p_x)
-    div = math.log2(nx) - h_x
-    u = uncertainty(p_x, ch, q)
-    if math.isinf(u):
-        pre = -math.inf
-        report = RateReport(u, -math.inf, div, 0.0, (pre, pre, pre), True)
-        return report
-    t_c = math.log2(nx) - u
-    joint = _joint(p_x, ch)
-    mask = joint > 0
-    denom = q.q.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # divergence perspective: expected log of q over the uniform-mixture
-        # normalizer, minus D(P_X || P_U)
-        large_code = float(
-            (joint[mask] * np.log2(nx * q.q / denom)[mask]).sum()
-        ) - div
-        # output perspective: q reweighted by 1/P_X(X)
-        inv_p = np.where(p_x.probs > 0, 1.0 / np.where(p_x.probs > 0, p_x.probs, 1.0), 1.0)
-        out_term = (q.q * inv_p[:, None]) / denom
-        out_persp = float((joint[mask] * np.log2(out_term[mask])).sum())
-    perspectives = (h_x - u, large_code, out_persp)
-    spread = max(perspectives) - min(perspectives)
-    if spread > PERSPECTIVE_TOL * max(1.0, abs(perspectives[0])):
-        raise AssertionError(f"rate perspectives disagree by {spread}")
+    sc = _Scenario(p_x, ch)
+    u, perspectives = sc.r_ps(q.q)
     pre = perspectives[0]
-    return RateReport(u, t_c, div, max(0.0, pre), perspectives, pre < 0)
+    return RateReport(u, math.log2(sc.nx) - u, sc.div, max(0.0, pre), perspectives, pre < 0)
 
 
 def conditional_entropy(p_x, ch):
@@ -148,7 +171,7 @@ def bmd_rate(p_labels, ch):
         prod *= pb.probs[ch.input.bits(j)]
     if np.allclose(prod, p_labels.probs, atol=1e-12):
         if abs(pre - mi_sum) > 1e-9:
-            raise AssertionError("independent-level BMD identity violated")
+            raise NumericalCheckError("independent-level BMD identity violated")
     abc = 1.0 - sum(cond) / m
     return BmdReport(max(0.0, pre), abc, tuple(cond), mi_sum)
 
@@ -159,23 +182,6 @@ def icm_rate(p_vec, ch_vec):
     _, m = _product_base(ch_vec.input)
     p_mix, ch_mix = icm_mixture(p_vec, ch_vec)
     return max(0.0, entropy(p_vec) - m * conditional_entropy(p_mix, ch_mix))
-
-
-def _gmi_integrand(p_x, ch, q, s):
-    """E[log2 q^s / sum_a P(a) q(a,Y)^s], computed in log domain."""
-    joint = _joint(p_x, ch)
-    mask = joint > 0
-    with np.errstate(divide="ignore"):
-        lq = np.log(q.q)
-        lp = np.log(np.where(p_x.probs > 0, p_x.probs, 1.0))
-        lp[p_x.probs == 0] = -np.inf
-    if np.any(np.isneginf(lq[mask])):
-        return -math.inf
-    t = s * lq + lp[:, None]
-    tmax = t.max(axis=0)
-    lse = tmax + np.log(np.exp(t - tmax).sum(axis=0))
-    val = (joint[mask] * (s * lq - lse[None, :])[mask]).sum()
-    return float(val / math.log(2))
 
 
 def _maximize_log_s(f, s_min, s_max):
@@ -205,15 +211,49 @@ def _maximize_log_s(f, s_min, s_max):
     return math.exp((a + b) / 2)
 
 
+def _gmi_objective(p_x, ch, q):
+    """s -> E[log2 q^s / sum_a P(a) q(a,Y)^s], computed in log domain.
+
+    log q, log P_X and the test whether q vanishes on the support (then the
+    value is -inf at every s) are computed here, once. Each call exponentiates
+    only the entries where q > 0 and P_X > 0; elsewhere s log q + log P_X is
+    -inf and adds 0 to the log-sum-exp.
+    """
+    _check_metric(ch, q)
+    sc = _Scenario(p_x, ch)
+    q_m = q.q[sc.mask]
+    if np.any(q_m == 0):
+        return lambda s: -math.inf
+    lq_m = np.log(q_m)
+    live = (q.q > 0) & (p_x.probs > 0)[:, None]
+    lq = np.log(q.q[live])
+    lp = _masked(np.log(np.where(p_x.probs > 0, p_x.probs, 1.0))[:, None], live)
+
+    def f(s):
+        t = s * lq + lp
+        t_all = np.full(q.q.shape, -np.inf)
+        t_all[live] = t
+        tmax = t_all.max(axis=0)
+        e = np.zeros(q.q.shape)
+        e[live] = np.exp(t - _masked(tmax, live))
+        # a column with no such entry sums to 0; it lies off the support
+        with np.errstate(divide="ignore"):
+            lse = tmax + np.log(e.sum(axis=0))
+        return float((sc.joint * (s * lq_m - _masked(lse, sc.mask))).sum() / math.log(2))
+
+    return f
+
+
 def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3):
     """Generalized mutual information: maximize the s-family over a bracket.
 
     The maximizer is the shared log-grid plus golden-section search, followed
-    by one parabolic step around the flat maximum. Returns (rate, maximizing
-    s); raises ValueError unless 0 < s_min < s_max.
+    by one parabolic step around the flat maximum. log q, log P_X and the
+    joint on its support are computed once per call; each evaluation forms
+    only the s-dependent log-sum-exp. Returns (rate, maximizing s); raises
+    ValueError unless 0 < s_min < s_max.
     """
-    _check_metric(ch, q)
-    f = lambda s: _gmi_integrand(p_x, ch, q, s)
+    f = _gmi_objective(p_x, ch, q)
     s_star = _maximize_log_s(f, s_min, s_max)
     h = 1e-4 * s_star
     f0, fm, fp = f(s_star), f(s_star - h), f(s_star + h)
@@ -305,28 +345,55 @@ def t_c_epsilon_lower_bound(p_x, ch, q, eps_typ):
     return float(p_x.probs @ e - eps_typ * (p_x.probs @ np.abs(e)))
 
 
+def _shaped_rate_objective(p_x, ch, q, family):
+    """s -> pre-clamp R_ps of the s-family member of q ("power": q^s,
+    "exp": exp(s*q)), -inf where power_transform or exp_transform would
+    refuse that member.
+
+    The joint on its support, H(X), D(P_X || P_U) and 1/P_X are computed
+    here, once; each call forms the member's entries as a bare array,
+    applies the checks Metric and exp_transform apply, and evaluates the
+    three perspectives of R_ps, which must still agree.
+    """
+    _check_metric(ch, q)
+    sc = _Scenario(p_x, ch)
+    # 0^s = 0, so only the positive entries need raising to the power s
+    pos = q.q > 0
+    q_pos = q.q[pos]
+
+    def f(s):
+        if family == "power":
+            qs = np.zeros(q.q.shape)
+            qs[pos] = q_pos ** s
+        else:
+            scaled = s * q.q
+            if scaled.max() > 700:
+                return -math.inf
+            qs = np.exp(scaled)
+        # Metric's checks: finite, non-negative, a positive entry per column
+        if not (np.all(np.isfinite(qs)) and np.all(qs >= 0) and np.all(qs.sum(axis=0) > 0)):
+            return -math.inf
+        return sc.r_ps(qs)[1][0]
+
+    return f
+
+
 def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3):
     """Maximize the shaped rate over the order-preserving s-family of q.
 
     family "power" sweeps q^s, family "exp" sweeps exp(s*q) (the right
     family for 0/1 Hamming metrics, which the power map leaves unchanged).
-    Returns (RateReport at the best s, s_star); raises ValueError unless
+    The scenario's invariants are computed once per call; every evaluation
+    still checks that the three perspectives of R_ps agree. Returns
+    (RateReport at the best s, s_star); raises ValueError unless
     0 < s_min < s_max after the exp family's overflow cap on s_max.
     """
     if family == "power":
-        make = lambda s: power_transform(q, s)
+        make = power_transform
     elif family == "exp":
-        make = lambda s: exp_transform(q, s)
+        make = exp_transform
         s_max = min(s_max, 650.0 / max(float(q.q.max()), 1e-300))
     else:
         raise ValueError(f"unknown family {family!r}")
-
-    def pre_clamp(s):
-        try:
-            rep = achievable_transmission_rate(p_x, ch, make(s))
-        except ValueError:
-            return -math.inf
-        return rep.r_ps_by_perspective[0]
-
-    s_star = _maximize_log_s(pre_clamp, s_min, s_max)
-    return achievable_transmission_rate(p_x, ch, make(s_star)), s_star
+    s_star = _maximize_log_s(_shaped_rate_objective(p_x, ch, q, family), s_min, s_max)
+    return achievable_transmission_rate(p_x, ch, make(q, s_star)), s_star

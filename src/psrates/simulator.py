@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import _check_input
 from .empirical import SequencePair, empirical_code_rate, sample_channel_outputs
+from .rates import _check_metric
 from .typicality import TypicalSpec, is_typical_counts
 
 FEASIBILITY_CAP = 22
@@ -36,6 +38,8 @@ _CHUNK_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulator run; p_x and q must be on ch's alphabets."""
+
     p_x: object
     ch: object
     q: object
@@ -48,6 +52,8 @@ class SimConfig:
     mode: str = "layered-ps"
 
     def __post_init__(self):
+        _check_input(self.p_x, self.ch)
+        _check_metric(self.ch, self.q)
         if not 0 <= self.r_tx <= self.r_c:
             raise ValueError("need 0 <= r_tx <= r_c")
         if self.n * self.r_c > FEASIBILITY_CAP:
@@ -125,8 +131,10 @@ class TrialRecord:
 
 def pairwise_union_bound(pair, q, r_c):
     """Union bound 2^(-n (T-hat - r_c)) on the conditional error, in [0,1]."""
-    t_hat = empirical_code_rate(pair, q)
-    n = len(pair.x_seq)
+    return _union_bound(empirical_code_rate(pair, q), len(pair.x_seq), r_c)
+
+
+def _union_bound(t_hat, n, r_c):
     if math.isinf(t_hat):
         return 1.0
     return min(1.0, 2.0 ** (-n * (t_hat - r_c)))
@@ -189,7 +197,7 @@ def run(cfg):
         pair = SequencePair([cfg.ch.input.symbols[i] for i in x.tolist()],
                             [cfg.ch.output.symbols[j] for j in y.tolist()])
         t_hat = empirical_code_rate(pair, cfg.q)
-        bound = pairwise_union_bound(pair, cfg.q, realized_r_c)
+        bound = _union_bound(t_hat, cfg.n, realized_r_c)
         records.append(TrialRecord(failed, w_error, u_error, t_hat, bound))
     return _summarize(cfg, records, realized_r_c, realized_r_tx, n_c, n_u)
 

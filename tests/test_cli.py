@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from psrates import binary_entropy, bsc, likelihood_metric, uniform_pmf
+from psrates import rates
 from psrates.cli import main
 from psrates.rates import achievable_transmission_rate
 
@@ -271,6 +272,18 @@ class TestTypicalCommand:
 
 
 class TestErrorHandling:
+    def test_failed_numerical_check_exits_3(self, capsys, monkeypatch):
+        # no spread is below a negative tolerance, so every R_ps check fails
+        monkeypatch.setattr(rates, "PERSPECTIVE_TOL", -1.0)
+        code, out, err = run_cli(
+            capsys, "rates", "--optimize-s", "--channel", "bsc:0.1", "--input", "uniform",
+            "--metric", "likelihood",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: rate perspectives disagree by ")
+        assert "Traceback" not in err
+
     def test_unknown_channel(self, capsys):
         code, _, err = run_cli(
             capsys, "rates", "--channel", "nosuch:1", "--input", "uniform",

@@ -7,6 +7,7 @@ from psrates import (
     Alphabet,
     Dmc,
     Metric,
+    NumericalCheckError,
     Pmf,
     SequencePair,
     achievable_transmission_rate,
@@ -21,6 +22,7 @@ from psrates import (
     sample_channel_outputs,
     uniform_pmf,
 )
+from psrates import empirical
 
 
 class TestSequencePair:
@@ -58,6 +60,18 @@ class TestEmpiricalCodeRate:
             Alphabet((0, 1)), Alphabet((0, 1)), np.array([[1.0, 0.0], [1.0, 1.0]])
         )
         assert empirical_code_rate(SequencePair((0,), (1,)), q) == -math.inf
+
+    def test_forms_disagreeing_raises(self, monkeypatch):
+        per_term = empirical._per_term_rates
+
+        def shifted(pair, q):
+            xi, yi, terms = per_term(pair, q)
+            return xi, yi, terms + 1e-6
+
+        monkeypatch.setattr(empirical, "_per_term_rates", shifted)
+        q = likelihood_metric(bsc(0.11))
+        with pytest.raises(NumericalCheckError, match="forms disagree"):
+            empirical_code_rate(SequencePair((0, 1), (0, 0)), q)
 
     def test_position_order_invariant(self):
         rng = np.random.default_rng(50)

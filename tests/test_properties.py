@@ -21,6 +21,7 @@ from psrates import (
     achievable_transmission_rate,
     conditional_entropy,
     entropy,
+    exp_transform,
     gmi,
     lm_rate,
     metric_switch,
@@ -29,6 +30,7 @@ from psrates import (
     t_c_epsilon_lower_bound,
     uncertainty,
 )
+from psrates.rates import _gmi_objective, _shaped_rate_objective
 
 
 def _weights(n):
@@ -133,3 +135,130 @@ def test_indices_inverts_indexing_by_symbol(symbols, data):
     alphabet = Alphabet(tuple(symbols))
     idx = data.draw(st.lists(st.integers(0, len(symbols) - 1), max_size=12))
     assert alphabet.indices([alphabet.symbols[i] for i in idx]).tolist() == idx
+
+
+# The s-optimisers compute the scenario's invariants once and then form each
+# family member as a bare array. The oracles below are the per-evaluation
+# paths they replaced; the objectives must equal them exactly, not within a
+# tolerance, so that s* and every printed digit stay the same.
+
+_TRANSFORMS = {"power": power_transform, "exp": exp_transform}
+
+# both ends of the optimisers' default bracket, and points in between
+_S = st.one_of(st.sampled_from([1e-3, 1e3]), st.floats(1e-3, 1e3))
+
+
+def _old_rate_report(p_x, ch, q):
+    """(U, R_ps by perspective) as computed on whole arrays, each form
+    from its own masked array (the evaluator before the invariants were
+    hoisted)."""
+    joint = _joint(p_x, ch)
+    mask = joint > 0
+    if np.any(q.q[mask] == 0):
+        return math.inf, (-math.inf,) * 3
+    nx = len(p_x.alphabet)
+    h_x = entropy(p_x)
+    div = math.log2(nx) - h_x
+    denom = q.q.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(mask, q.q / denom, 1.0)
+        u = float(-(joint[mask] * np.log2(ratio[mask])).sum())
+        if math.isinf(u):
+            return u, (-math.inf,) * 3
+        large_code = float((joint[mask] * np.log2(nx * q.q / denom)[mask]).sum()) - div
+        inv_p = np.where(p_x.probs > 0, 1.0 / np.where(p_x.probs > 0, p_x.probs, 1.0), 1.0)
+        out_term = (q.q * inv_p[:, None]) / denom
+        out_persp = float((joint[mask] * np.log2(out_term[mask])).sum())
+    return u, (h_x - u, large_code, out_persp)
+
+
+def _old_shaped_rate(p_x, ch, q, family, s):
+    """The optimiser's objective that built a Metric at every evaluation."""
+    try:
+        rep = achievable_transmission_rate(p_x, ch, _TRANSFORMS[family](q, s))
+    except ValueError:
+        return -math.inf
+    return rep.r_ps_by_perspective[0]
+
+
+def _gmi_integrand(p_x, ch, q, s):
+    """E[log2 q^s / sum_a P(a) q(a,Y)^s], computed in log domain."""
+    joint = _joint(p_x, ch)
+    mask = joint > 0
+    with np.errstate(divide="ignore"):
+        lq = np.log(q.q)
+        lp = np.log(np.where(p_x.probs > 0, p_x.probs, 1.0))
+        lp[p_x.probs == 0] = -np.inf
+    if np.any(np.isneginf(lq[mask])):
+        return -math.inf
+    t = s * lq + lp[:, None]
+    tmax = t.max(axis=0)
+    lse = tmax + np.log(np.exp(t - tmax).sum(axis=0))
+    val = (joint[mask] * (s * lq - lse[None, :])[mask]).sum()
+    return float(val / math.log(2))
+
+
+def _scaled(q, scale):
+    """q times scale; scale 8 lets q^s overflow and exp(s*q) hit its cap."""
+    return Metric(q.input, q.output, q.q * scale)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(scenarios(), st.sampled_from([0.25, 1.0, 8.0]), st.lists(_S, max_size=3))
+def test_rate_report_equals_whole_array_formulas(scenario, scale, ss):
+    p, ch, q = scenario
+    q = _scaled(q, scale)
+    for s in (1e-3, 1e3, *ss):
+        try:
+            qs = power_transform(q, s)
+        except ValueError:
+            continue
+        u, forms = _old_rate_report(p, ch, qs)
+        rep = achievable_transmission_rate(p, ch, qs)
+        assert (rep.uncertainty, rep.r_ps_by_perspective) == (u, forms)
+        assert rep.t_c == math.log2(len(p.alphabet)) - u
+        assert uncertainty(p, ch, qs) == u
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(scenarios(), st.sampled_from([0.25, 1.0, 8.0]), st.sampled_from(["power", "exp"]),
+       st.lists(_S, max_size=3))
+def test_shaped_rate_objective_equals_rate_report(scenario, scale, family, ss):
+    p, ch, q = scenario
+    q = _scaled(q, scale)
+    f = _shaped_rate_objective(p, ch, q, family)
+    for s in (1e-3, 1e3, *ss):
+        assert f(s) == _old_shaped_rate(p, ch, q, family, s)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(scenarios(), st.lists(_S, max_size=3))
+def test_gmi_objective_equals_integrand(scenario, ss):
+    p, ch, q = scenario
+    f = _gmi_objective(p, ch, q)
+    for s in (1e-3, 1e3, *ss):
+        assert f(s) == _gmi_integrand(p, ch, q, s)
+
+
+# output 2 never occurs, so a metric column that vanishes there touches no
+# pair of positive probability
+_W = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family, rows, s, why", [
+    ("power", [[1.0, 0.5, 0.25], [0.5, 1.0, 0.25]], 1e3,
+     "every metric column needs a positive entry"),
+    ("power", [[4.0, 0.5, 1.0], [0.5, 1.0, 1.0]], 1e3, "metric entries must be finite"),
+    ("exp", [[1.0, 0.5, 1.0], [0.5, 1.0, 1.0]], 701.0, "exponential transform overflows"),
+])
+def test_refused_members_are_minus_inf(family, rows, s, why):
+    # the members the Metric path refuses: a column that underflows to 0,
+    # an entry that overflows to inf, and exp(s*q) past its cap
+    xs, ys = Alphabet((0, 1)), Alphabet((0, 1, 2))
+    ch = Dmc(xs, ys, _W)
+    p = Pmf(xs, np.array([0.6, 0.4]))
+    q = Metric(xs, ys, np.array(rows))
+    with pytest.raises(ValueError, match=why):
+        _TRANSFORMS[family](q, s)
+    assert _shaped_rate_objective(p, ch, q, family)(s) == -math.inf

@@ -7,6 +7,7 @@ from psrates import (
     Alphabet,
     Dmc,
     Metric,
+    NumericalCheckError,
     Pmf,
     Quantizer,
     achievable_transmission_rate,
@@ -35,6 +36,7 @@ from psrates import (
     uncertainty,
     uniform_pmf,
 )
+from psrates import rates
 
 GRAY4 = Alphabet((0, 1, 2, 3), labels=("00", "01", "11", "10"))
 
@@ -164,6 +166,14 @@ class TestBmdRate:
         ch, p = self._labeled_awgn()
         rep = bmd_rate(p, ch)
         assert rep.r_bmd <= mutual_information(p, ch) + 1e-10
+
+    def test_identity_violation_raises(self, monkeypatch):
+        # independent uniform levels, with H(B) misreported by 1e-6 bits
+        ch, p = self._labeled_awgn()
+        monkeypatch.setattr(rates, "entropy",
+                            lambda pmf: entropy(pmf) + (1e-6 if pmf is p else 0.0))
+        with pytest.raises(NumericalCheckError, match="BMD identity"):
+            bmd_rate(p, ch)
 
     def test_abc_rate_is_tc_over_m(self):
         ch, p = self._labeled_awgn()

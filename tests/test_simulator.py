@@ -12,6 +12,7 @@ from psrates import (
     SimConfig,
     TypicalSpec,
     bsc,
+    empirical_code_rate,
     encoding_failure_bound,
     is_typical,
     likelihood_metric,
@@ -66,6 +67,20 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="unknown mode"):
             layered_config(mode="layered")
 
+    def test_metric_on_other_alphabet_rejected(self):
+        # q's rows in the order (1, 0) would be read by index by the decoder
+        # and by symbol by t_hat
+        w = np.array([[0.9, 0.1], [0.2, 0.8]])
+        ch = Dmc(Alphabet((0, 1)), Alphabet((0, 1)), w)
+        q = likelihood_metric(Dmc(Alphabet((1, 0)), Alphabet((0, 1)), w))
+        with pytest.raises(ValueError, match="metric alphabets"):
+            layered_config(p_x=uniform_pmf(ch.input), ch=ch, q=q)
+
+    def test_input_on_other_alphabet_rejected(self):
+        p = uniform_pmf(Alphabet((1, 0)))
+        with pytest.raises(ValueError, match="input distribution"):
+            layered_config(p_x=p)
+
     def test_codebook_sizes(self):
         cfg = layered_config(n=16, r_c=0.75, r_tx=0.5)
         n_c, n_u, n_v = cfg.codebook_sizes()
@@ -92,6 +107,22 @@ class TestPairwiseUnionBound:
         q = likelihood_metric(bsc(0.11))
         pair = SequencePair((0, 1), (1, 0))  # all positions flipped
         assert pairwise_union_bound(pair, q, 1.0) == 1.0
+
+
+    def test_run_computes_t_hat_once_per_trial(self, monkeypatch):
+        calls = []
+
+        def counted(pair, q):
+            calls.append(pair)
+            return empirical_code_rate(pair, q)
+
+        cfg = layered_config(n=12, trials=5)
+        monkeypatch.setattr(simulator, "empirical_code_rate", counted)
+        res = run(cfg)
+        monkeypatch.undo()
+        assert len(calls) == 5
+        for pair, rec in zip(calls, res.per_trial):
+            assert rec.union_bound == pairwise_union_bound(pair, cfg.q, res.realized_r_c)
 
 
 class TestLayeredPs:
