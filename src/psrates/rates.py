@@ -345,35 +345,22 @@ def t_c_epsilon_lower_bound(p_x, ch, q, eps_typ):
     return float(p_x.probs @ e - eps_typ * (p_x.probs @ np.abs(e)))
 
 
-def _shaped_rate_objective(p_x, ch, q, family):
-    """s -> pre-clamp R_ps of the s-family member of q ("power": q^s,
-    "exp": exp(s*q)), -inf where power_transform or exp_transform would
-    refuse that member.
+def _shaped_rate_objective(p_x, ch, q, make):
+    """s -> pre-clamp R_ps of make(q, s), -inf where make refuses it.
 
     The joint on its support, H(X), D(P_X || P_U) and 1/P_X are computed
-    here, once; each call forms the member's entries as a bare array,
-    applies the checks Metric and exp_transform apply, and evaluates the
-    three perspectives of R_ps, which must still agree.
+    here, once; each call builds the member and evaluates the three
+    perspectives of R_ps, which must still agree.
     """
     _check_metric(ch, q)
     sc = _Scenario(p_x, ch)
-    # 0^s = 0, so only the positive entries need raising to the power s
-    pos = q.q > 0
-    q_pos = q.q[pos]
 
     def f(s):
-        if family == "power":
-            qs = np.zeros(q.q.shape)
-            qs[pos] = q_pos ** s
-        else:
-            scaled = s * q.q
-            if scaled.max() > 700:
-                return -math.inf
-            qs = np.exp(scaled)
-        # Metric's checks: finite, non-negative, a positive entry per column
-        if not (np.all(np.isfinite(qs)) and np.all(qs >= 0) and np.all(qs.sum(axis=0) > 0)):
+        try:
+            qs = make(q, s)
+        except ValueError:
             return -math.inf
-        return sc.r_ps(qs)[1][0]
+        return sc.r_ps(qs.q)[1][0]
 
     return f
 
@@ -395,5 +382,5 @@ def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3):
         s_max = min(s_max, 650.0 / max(float(q.q.max()), 1e-300))
     else:
         raise ValueError(f"unknown family {family!r}")
-    s_star = _maximize_log_s(_shaped_rate_objective(p_x, ch, q, family), s_min, s_max)
+    s_star = _maximize_log_s(_shaped_rate_objective(p_x, ch, q, make), s_min, s_max)
     return achievable_transmission_rate(p_x, ch, make(q, s_star)), s_star

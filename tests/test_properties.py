@@ -226,7 +226,7 @@ def test_rate_report_equals_whole_array_formulas(scenario, scale, ss):
 def test_shaped_rate_objective_equals_rate_report(scenario, scale, family, ss):
     p, ch, q = scenario
     q = _scaled(q, scale)
-    f = _shaped_rate_objective(p, ch, q, family)
+    f = _shaped_rate_objective(p, ch, q, _TRANSFORMS[family])
     for s in (1e-3, 1e3, *ss):
         assert f(s) == _old_shaped_rate(p, ch, q, family, s)
 
@@ -261,4 +261,4 @@ def test_refused_members_are_minus_inf(family, rows, s, why):
     q = Metric(xs, ys, np.array(rows))
     with pytest.raises(ValueError, match=why):
         _TRANSFORMS[family](q, s)
-    assert _shaped_rate_objective(p, ch, q, family)(s) == -math.inf
+    assert _shaped_rate_objective(p, ch, q, _TRANSFORMS[family])(s) == -math.inf
