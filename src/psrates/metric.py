@@ -90,7 +90,12 @@ def power_transform(q, s):
     """Entrywise power q^s, order-preserving for s > 0."""
     if s <= 0:
         raise ValueError("power exponent must be positive")
-    return Metric(q.input, q.output, q.q ** s)
+    # 0^s = 0; skipping the zeros matters because pow is slow on them and
+    # quantized-channel metrics are mostly zeros
+    pos = q.q > 0
+    qs = np.zeros(q.q.shape)
+    qs[pos] = q.q[pos] ** s
+    return Metric(q.input, q.output, qs)
 
 
 def exp_transform(q, s):

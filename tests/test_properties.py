@@ -137,9 +137,9 @@ def test_indices_inverts_indexing_by_symbol(symbols, data):
     assert alphabet.indices([alphabet.symbols[i] for i in idx]).tolist() == idx
 
 
-# The s-optimisers compute the scenario's invariants once and then form each
-# family member as a bare array. The oracles below are the per-evaluation
-# paths they replaced; the objectives must equal them exactly, not within a
+# The s-optimisers compute the scenario's invariants once and then build
+# only each family member. The oracles below are the per-evaluation paths
+# they replaced; the objectives must equal them exactly, not within a
 # tolerance, so that s* and every printed digit stay the same.
 
 _TRANSFORMS = {"power": power_transform, "exp": exp_transform}
@@ -218,6 +218,21 @@ def test_rate_report_equals_whole_array_formulas(scenario, scale, ss):
         assert (rep.uncertainty, rep.r_ps_by_perspective) == (u, forms)
         assert rep.t_c == math.log2(len(p.alphabet)) - u
         assert uncertainty(p, ch, qs) == u
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(scenarios(), st.sampled_from([0.25, 1.0, 8.0]), st.lists(_S, max_size=3))
+def test_power_transform_equals_whole_array_power(scenario, scale, ss):
+    # power_transform raises only the positive entries to the power s
+    _, _, q = scenario
+    q = _scaled(q, scale)
+    for s in (1e-3, 1e3, *ss):
+        whole = q.q ** s
+        if np.all(np.isfinite(whole)) and np.all(whole.sum(axis=0) > 0):
+            assert np.array_equal(power_transform(q, s).q, whole)
+        else:
+            with pytest.raises(ValueError):
+                power_transform(q, s)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
