@@ -5,7 +5,6 @@ All information quantities are in bits (log base 2). The convention
 cross-entropy when the second argument has a zero where the first does not.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -137,13 +136,6 @@ class Pmf:
     @classmethod
     def from_json_dict(cls, d):
         return cls(Alphabet.from_json_dict(d), np.asarray(d["probs"], dtype=float))
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 def uniform_pmf(alphabet):

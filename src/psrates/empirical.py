@@ -34,9 +34,7 @@ def _per_term_rates(pair, q):
     position i, log2 q(x_i,y_i) / (sum_a q(a,y_i)/|X|)."""
     xi = q.input.indices(pair.x_seq)
     yi = q.output.indices(pair.y_seq)
-    denom = q.q.sum(axis=0) / len(q.input)
-    with np.errstate(divide="ignore"):
-        return xi, yi, np.log2(q.q[xi, yi]) - np.log2(denom[yi])
+    return xi, yi, q.log2_ratio()[xi, yi]
 
 
 def empirical_code_rate(pair, q):
@@ -124,14 +122,14 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
     composition is "iid" (entries drawn from P_X) or "exact" (each codeword
     has the largest-remainder composition of n * P_X, randomly permuted).
     """
+    if n < 1:
+        raise ValueError(f"block length n must be at least 1, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if composition not in ("iid", "exact"):
         raise ValueError(f"unknown composition mode {composition!r}")
     nx = len(p_x.alphabet)
-    denom = q.q.sum(axis=0) / nx
-    with np.errstate(divide="ignore"):
-        ratio = np.log2(q.q) - np.log2(denom)[None, :]
+    ratio = q.log2_ratio()
     values = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([rng_seed, t])

@@ -126,11 +126,9 @@ def achievable_transmission_rate(p_x, ch, q):
 
 
 def conditional_entropy(p_x, ch):
-    """H(X|Y) of the joint induced by the input distribution and channel."""
-    joint = _joint(p_x, ch)
-    p_y = joint.sum(axis=0)
-    mask = joint > 0
-    return float(-(joint[mask] * np.log2((joint / np.where(p_y > 0, p_y, 1.0))[mask])).sum())
+    """H(X|Y) of the joint induced by the input distribution and channel:
+    the uncertainty of the joint P_X.W taken as the metric."""
+    return _Scenario(p_x, ch).uncertainty(_joint(p_x, ch))[0]
 
 
 def mutual_information(p_x, ch):
@@ -190,8 +188,8 @@ def _maximize_log_s(f, s_min, s_max):
     Evaluates f on a log-spaced grid, then refines around the best grid
     point by golden-section search in log s, for relative accuracy.
     """
-    if not 0 < s_min < s_max:
-        raise ValueError("need 0 < s_min < s_max")
+    if not 0 < s_min < s_max < math.inf:
+        raise ValueError(f"need 0 < s_min < s_max < inf, got s_min={s_min}, s_max={s_max}")
     grid = np.logspace(math.log10(s_min), math.log10(s_max), GRID_POINTS)
     i = int(np.argmax([f(s) for s in grid]))
     a = math.log(grid[max(i - 1, 0)])
@@ -211,23 +209,28 @@ def _maximize_log_s(f, s_min, s_max):
     return math.exp((a + b) / 2)
 
 
-def _gmi_objective(p_x, ch, q):
-    """s -> E[log2 q^s / sum_a P(a) q(a,Y)^s], computed in log domain.
+def _lm_objective(p_x, ch, q, r=1.0):
+    """s -> E[log2 r(X) q(X,Y)^s / sum_a P(a) r(a) q(a,Y)^s], computed in
+    log domain; r = 1 gives the GMI's s-family.
 
-    log q, log P_X and the test whether q vanishes on the support (then the
-    value is -inf at every s) are computed here, once. Each call exponentiates
-    only the entries where q > 0 and P_X > 0; elsewhere s log q + log P_X is
-    -inf and adds 0 to the log-sum-exp.
+    log q, log P_X + log r, E[log r(X)] and the test whether q vanishes on
+    the support (then the value is -inf at every s) are computed here, once.
+    Each call exponentiates only the entries where q > 0 and P_X > 0;
+    elsewhere s log q + log P_X is -inf and adds 0 to the log-sum-exp.
     """
     _check_metric(ch, q)
     sc = _Scenario(p_x, ch)
     q_m = q.q[sc.mask]
     if np.any(q_m == 0):
         return lambda s: -math.inf
+    supp = p_x.probs > 0
+    # log 1 is an exact 0, so r = 1 leaves every sum below bit-identical
+    lr = np.log(np.where(supp, r, 1.0))
+    e_lr = float((sc.joint * _masked(lr[:, None], sc.mask)).sum())
     lq_m = np.log(q_m)
-    live = (q.q > 0) & (p_x.probs > 0)[:, None]
+    live = (q.q > 0) & supp[:, None]
     lq = np.log(q.q[live])
-    lp = _masked(np.log(np.where(p_x.probs > 0, p_x.probs, 1.0))[:, None], live)
+    lp = _masked((np.log(np.where(supp, p_x.probs, 1.0)) + lr)[:, None], live)
 
     def f(s):
         t = s * lq + lp
@@ -239,7 +242,7 @@ def _gmi_objective(p_x, ch, q):
         # a column with no such entry sums to 0; it lies off the support
         with np.errstate(divide="ignore"):
             lse = tmax + np.log(e.sum(axis=0))
-        return float((sc.joint * (s * lq_m - _masked(lse, sc.mask))).sum() / math.log(2))
+        return float(((sc.joint * (s * lq_m - _masked(lse, sc.mask))).sum() + e_lr) / math.log(2))
 
     return f
 
@@ -251,9 +254,9 @@ def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3):
     by one parabolic step around the flat maximum. log q, log P_X and the
     joint on its support are computed once per call; each evaluation forms
     only the s-dependent log-sum-exp. Returns (rate, maximizing s); raises
-    ValueError unless 0 < s_min < s_max.
+    ValueError unless 0 < s_min < s_max < inf.
     """
-    f = _gmi_objective(p_x, ch, q)
+    f = _lm_objective(p_x, ch, q)
     s_star = _maximize_log_s(f, s_min, s_max)
     h = 1e-4 * s_star
     f0, fm, fp = f(s_star), f(s_star - h), f(s_star + h)
@@ -266,26 +269,19 @@ def gmi(p_x, ch, q, s_min=1e-3, s_max=1e3):
 
 
 def lm_rate(p_x, ch, q, s, r):
-    """LM-rate with exponent s and per-symbol weights r, clamped at zero.
-
-    With s=1, r=1/P_X and full support this reproduces the shaped rate.
+    """LM-rate with exponent s and per-symbol weights r, clamped at zero:
+    the GMI's s-family with r(X) in the numerator and P(a) r(a) weights in
+    the normalizer. With s=1, r=1/P_X and full support this reproduces the
+    shaped rate. s and the weights on the support of P_X must be finite
+    and positive.
     """
-    if s <= 0:
-        raise ValueError("exponent must be positive")
-    _check_metric(ch, q)
+    if not 0 < s < math.inf:
+        raise ValueError(f"exponent must be finite and positive, got {s}")
     r = np.asarray(r, dtype=float)
-    supp = p_x.probs > 0
-    if np.any(r[supp] <= 0):
-        raise ValueError("weights must be positive on the support")
-    joint = _joint(p_x, ch)
-    mask = joint > 0
-    if np.any(q.q[mask] == 0):
-        return 0.0
-    qs = q.q ** s
-    denom = (p_x.probs[supp, None] * qs[supp] * r[supp, None]).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # denom is 0 only off the mask
-        term = np.where(mask, qs * r[:, None] / denom, 1.0)
-    return max(0.0, float((joint[mask] * np.log2(term[mask])).sum()))
+    r_supp = r[p_x.probs > 0]
+    if not np.all((r_supp > 0) & (r_supp < math.inf)):
+        raise ValueError("weights must be finite and positive on the support")
+    return max(0.0, _lm_objective(p_x, ch, q, r)(s))
 
 
 def hard_decision_rate(p_x, ch, quant):
@@ -337,9 +333,7 @@ def t_c_epsilon_lower_bound(p_x, ch, q, eps_typ):
     mask = _joint(p_x, ch) > 0
     if np.any(q.q[mask] == 0):
         return -math.inf
-    denom = q.q.sum(axis=0) / len(p_x.alphabet)
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(mask, np.log2(q.q / denom), 0.0)
+    log_ratio = np.where(mask, q.log2_ratio(), 0.0)
     # e[a]: expected log-ratio given input a; rows outside the support give 0
     e = (ch.w * log_ratio).sum(axis=1)
     return float(p_x.probs @ e - eps_typ * (p_x.probs @ np.abs(e)))
@@ -373,7 +367,7 @@ def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3):
     The scenario's invariants are computed once per call; every evaluation
     still checks that the three perspectives of R_ps agree. Returns
     (RateReport at the best s, s_star); raises ValueError unless
-    0 < s_min < s_max after the exp family's overflow cap on s_max.
+    0 < s_min < s_max < inf after the exp family's overflow cap on s_max.
     """
     if family == "power":
         make = power_transform

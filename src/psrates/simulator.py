@@ -54,6 +54,8 @@ class SimConfig:
     def __post_init__(self):
         _check_input(self.p_x, self.ch)
         _check_metric(self.ch, self.q)
+        if self.n < 1:
+            raise ValueError(f"block length n must be at least 1, got {self.n}")
         if not 0 <= self.r_tx <= self.r_c:
             raise ValueError("need 0 <= r_tx <= r_c")
         if self.n * self.r_c > FEASIBILITY_CAP:

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import shlex
 import warnings
 
 import numpy as np
@@ -15,6 +17,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands():
+    """argv of every `psrates ...` line in the README's CLI block, with
+    backslash continuations joined."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("psrates ")]
+    if not commands:
+        raise ValueError("README.md: no psrates command in the CLI block")
+    return commands
+
+
+_README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS)])
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # the simulate example writes trials.csv
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 class TestRatesCommand:
@@ -147,6 +172,15 @@ class TestGmiCommand:
         assert d["gmi"] == pytest.approx(1 - binary_entropy(0.11), abs=1e-8)
         assert d["s_star"] == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("s_max", ["inf", "1e400"])
+    def test_infinite_bracket_rejected(self, capsys, s_max):
+        code, out, err = run_cli(
+            capsys, "gmi", "--channel", "bsc:0.11", "--input", "uniform",
+            "--metric", "likelihood", "--s-max", s_max,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: need 0 < s_min < s_max < inf")
+
 
 class TestLmCommand:
     def test_inv_input_weights_match_rates(self, capsys):
@@ -169,6 +203,23 @@ class TestLmCommand:
         )
         assert code == 2
         assert "weights" in err
+
+    @pytest.mark.parametrize("flag, value, what", [
+        ("--s", "nan", "exponent"),
+        ("--s", "inf", "exponent"),
+        ("--s", "0", "exponent"),
+        ("--weights", "nan,1,1,1", "weights"),
+        ("--weights", "inf,1,1,1", "weights"),
+        ("--weights", "0,1,1,1", "weights"),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, capsys, flag, value, what):
+        argv = {"--s": "1.0", "--weights": "1,1,1,1", flag: value}
+        code, out, err = run_cli(
+            capsys, "lm", "--channel", "mary:4,0.1", "--input", "uniform",
+            "--metric", "likelihood", *(t for kv in argv.items() for t in kv),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {what} must be finite and positive")
 
 
 class TestSimulateCommand:
@@ -212,6 +263,12 @@ class TestSimulateCommand:
         d = json.loads(out)
         assert d["trials"] == 4 and math.isfinite(d["t_hat_mean"])
 
+    def test_empty_block_rejected(self, capsys):
+        args = [a if a != "16" else "0" for a in self.ARGS]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: block length n must be at least 1, got 0")
+
     def test_infeasible_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--channel", "bsc:0.05", "--input", "uniform",
@@ -235,6 +292,15 @@ class TestEstimateTcCommand:
         assert d["t_c_closed_form"] == pytest.approx(
             1 - binary_entropy(0.05), abs=1e-12
         )
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_empty_block_rejected(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "estimate-tc", "--channel", "bsc:0.05", "--input", "uniform",
+            "--metric", "likelihood", "--n", n, "--trials", "3", "--seed", "9",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: block length n must be at least 1, got {n}")
 
 
 class TestTypicalCommand:

@@ -91,6 +91,10 @@ CASES = {
     "lm-weights": (
         "lm", "--channel", "mary:4,0.1", "--input", "0.4,0.3,0.2,0.1",
         "--metric", "likelihood", "--s", "1.2", "--weights", "1,2,3,4"),
+    # q^s underflows in linear domain here; the rate is 1.8451, not 0.
+    "lm-large-s": (
+        "lm", "--channel", "mary:4,1e-6", "--input", "0.4,0.3,0.2,0.1",
+        "--metric", "likelihood", "--s", "60"),
     "simulate-layered": (
         "simulate", "--channel", "bsc:0.05", "--input", "uniform", "--metric", "likelihood",
         "--mode", "layered-ps", "--n", "12", "--rc", "0.75", "--rtx", "0.5",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestPmf:
 
     def test_json_round_trip(self):
         p = Pmf(Alphabet(("a", "b"), labels=("0", "1")), np.array([0.3, 0.7]))
-        back = Pmf.from_json(p.to_json())
+        back = Pmf.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
         assert back.alphabet.symbols == ("a", "b")
         assert np.allclose(back.probs, [0.3, 0.7])
 

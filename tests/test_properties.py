@@ -30,7 +30,7 @@ from psrates import (
     t_c_epsilon_lower_bound,
     uncertainty,
 )
-from psrates.rates import _gmi_objective, _shaped_rate_objective
+from psrates.rates import _lm_objective, _shaped_rate_objective
 
 
 def _weights(n):
@@ -94,6 +94,54 @@ def test_lm_rate_at_s_one_and_inverse_weights_is_rps(scenario):
     else:
         # the LM normaliser sums over the support only, so it can only gain
         assert lm_rate(p, ch, q, 1.0, r) >= r_ps - 1e-12
+
+
+def _linear_lm_rate(p_x, ch, q, s, r):
+    """The LM rate summed in linear domain, as lm_rate computed it before it
+    shared the GMI's log-domain evaluator; q^s underflows at large s."""
+    joint = _joint(p_x, ch)
+    mask = joint > 0
+    if np.any(q.q[mask] == 0):
+        return 0.0
+    supp = p_x.probs > 0
+    qs = q.q ** s
+    denom = (p_x.probs[supp, None] * qs[supp] * r[supp, None]).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # denom is 0 only off the mask
+        term = np.where(mask, qs * r[:, None] / denom, 1.0)
+    return max(0.0, float((joint[mask] * np.log2(term[mask])).sum()))
+
+
+# positive per-symbol weights of the LM rate
+_R = st.lists(st.integers(1, 4), min_size=4, max_size=4)
+
+
+@given(scenarios(), _R, st.floats(1e-3, 20.0))
+def test_lm_rate_equals_linear_domain_sum(scenario, r, s):
+    # metric entries are at least 0.25 where positive, so q^s >= 2^-40
+    # here: the linear-domain sum does not underflow
+    p, ch, q = scenario
+    r = np.array(r[:len(p.alphabet)], dtype=float)
+    assert lm_rate(p, ch, q, s, r) == pytest.approx(_linear_lm_rate(p, ch, q, s, r), abs=1e-12)
+
+
+def _sharpened(ch, q):
+    """q set to 1 on every pair the channel reaches, and at most 1/4
+    elsewhere: the true input then maximises the metric, so the LM rate
+    can stay positive as s grows."""
+    return Metric(q.input, q.output, np.where(ch.w > 0, 1.0, q.q / 4))
+
+
+@given(scenarios(), _R, st.sampled_from([1e-3, 1e3]), st.floats(1e-3, 1e3), st.booleans())
+def test_lm_rate_invariant_to_scaling_q_or_r(scenario, r, scale, s, sharpen):
+    # the scale cancels between numerator and normalizer; in linear domain
+    # q^s under- or overflows long before s = 1e3
+    p, ch, q = scenario
+    if sharpen:
+        q = _sharpened(ch, q)
+    r = np.array(r[:len(p.alphabet)], dtype=float)
+    rate = lm_rate(p, ch, q, s, r)
+    assert lm_rate(p, ch, _scaled(q, scale), s, r) == pytest.approx(rate, abs=1e-9)
+    assert lm_rate(p, ch, q, s, scale * r) == pytest.approx(rate, abs=1e-9)
 
 
 @settings(max_examples=20)
@@ -250,7 +298,7 @@ def test_shaped_rate_objective_equals_rate_report(scenario, scale, family, ss):
 @given(scenarios(), st.lists(_S, max_size=3))
 def test_gmi_objective_equals_integrand(scenario, ss):
     p, ch, q = scenario
-    f = _gmi_objective(p, ch, q)
+    f = _lm_objective(p, ch, q)
     for s in (1e-3, 1e3, *ss):
         assert f(s) == _gmi_integrand(p, ch, q, s)
 
