@@ -27,13 +27,6 @@ class Dmc:
         w = _frozen_array(self.w, shape, "channel probabilities", normalize=True)
         object.__setattr__(self, "w", w)
 
-    def to_json_dict(self):
-        return {
-            "input": self.input.to_json_dict(),
-            "output": self.output.to_json_dict(),
-            "rows": [list(r) for r in self.w],
-        }
-
     @classmethod
     def from_json_dict(cls, d):
         return cls(

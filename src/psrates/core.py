@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SUM_TOL = 1e-9
-VALID_TOL = 1e-12
 
 
 class NumericalCheckError(ArithmeticError):
@@ -95,14 +94,6 @@ class Alphabet:
         """Bit of the label at 1-based level for the given symbol index."""
         return int(self.bits(level)[symbol_index])
 
-    def to_json_dict(self):
-        d = {"symbols": list(self.symbols)}
-        if self.labels is not None:
-            d["labels"] = list(self.labels)
-        if self.signal_points is not None:
-            d["signal_points"] = list(self.signal_points)
-        return d
-
     @classmethod
     def from_json_dict(cls, d):
         symbols = [tuple(s) if isinstance(s, list) else s for s in d["symbols"]]
@@ -127,15 +118,6 @@ class Pmf:
     def __post_init__(self):
         p = _frozen_array(self.probs, (len(self.alphabet),), "probabilities", normalize=True)
         object.__setattr__(self, "probs", p)
-
-    def to_json_dict(self):
-        d = self.alphabet.to_json_dict()
-        d["probs"] = list(self.probs)
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(Alphabet.from_json_dict(d), np.asarray(d["probs"], dtype=float))
 
 
 def uniform_pmf(alphabet):

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _check_input
 from .core import NumericalCheckError
+from .rates import _check_metric
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,6 @@ def sample_channel_outputs(ch, x_idx, rng):
 class MonteCarloResult:
     mean: float
     std_error: float
-    trials: int
-    n: int
 
 
 def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
@@ -121,7 +121,10 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
 
     composition is "iid" (entries drawn from P_X) or "exact" (each codeword
     has the largest-remainder composition of n * P_X, randomly permuted).
+    p_x and q must be on ch's alphabets.
     """
+    _check_input(p_x, ch)
+    _check_metric(ch, q)
     if n < 1:
         raise ValueError(f"block length n must be at least 1, got {n}")
     if trials < 1:
@@ -141,6 +144,6 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
         values[t] = ratio[x, y].mean()
     mean = float(values.mean())
     if trials < 2:
-        return MonteCarloResult(mean, math.inf, trials, n)
+        return MonteCarloResult(mean, math.inf)
     se = float(values.std(ddof=1) / math.sqrt(trials))
-    return MonteCarloResult(mean, se, trials, n)
+    return MonteCarloResult(mean, se)

@@ -43,13 +43,6 @@ class Metric:
         """Set of maximizing input indices per output column."""
         return [frozenset(np.flatnonzero(col == col.max())) for col in self.q.T]
 
-    def to_json_dict(self):
-        return {
-            "input": self.input.to_json_dict(),
-            "output": self.output.to_json_dict(),
-            "rows": [list(r) for r in self.q],
-        }
-
     @classmethod
     def from_json_dict(cls, d):
         return cls(
@@ -72,16 +65,9 @@ class Quantizer:
             raise ValueError("need one target per output symbol")
 
 
-def posterior_metric(p_x, ch, scaled=False):
-    """Posterior P(x|y) as decoding metric; optionally scaled by P(y).
-
-    The scaled variant is equivalent (the output factor cancels in the
-    per-column normalization).
-    """
+def posterior_metric(p_x, ch):
+    """Posterior P(x|y) as decoding metric."""
     post = posterior(p_x, ch)
-    if scaled:
-        p_y = p_x.probs @ ch.w
-        post = post * p_y
     # unreachable outputs have zero columns; score them uniformly
     dead = post.sum(axis=0) == 0
     post[:, dead] = 1.0 / len(ch.input)

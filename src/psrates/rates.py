@@ -51,6 +51,11 @@ def _check_metric(ch, q):
         raise ValueError("metric alphabets do not match the channel")
 
 
+def _check_quantizer(ch, quant):
+    if quant.output.symbols != ch.output.symbols:
+        raise ValueError("quantizer output alphabet is not the channel output alphabet")
+
+
 def _masked(values, mask):
     """values broadcast to the shape of mask, at the entries of mask in
     row-major order (a row of per-column or a column of per-row values)."""
@@ -233,7 +238,10 @@ def _lm_objective(p_x, ch, q, r=1.0):
     lp = _masked((np.log(np.where(supp, p_x.probs, 1.0)) + lr)[:, None], live)
 
     def f(s):
-        t = s * lq + lp
+        # at huge s, s log q overflows to -inf, and so does f, correctly
+        with np.errstate(over="ignore"):
+            t = s * lq + lp
+            s_lq_m = s * lq_m
         t_all = np.full(q.q.shape, -np.inf)
         t_all[live] = t
         tmax = t_all.max(axis=0)
@@ -242,7 +250,7 @@ def _lm_objective(p_x, ch, q, r=1.0):
         # a column with no such entry sums to 0; it lies off the support
         with np.errstate(divide="ignore"):
             lse = tmax + np.log(e.sum(axis=0))
-        return float(((sc.joint * (s * lq_m - _masked(lse, sc.mask))).sum() + e_lr) / math.log(2))
+        return float(((sc.joint * (s_lq_m - _masked(lse, sc.mask))).sum() + e_lr) / math.log(2))
 
     return f
 
@@ -289,8 +297,9 @@ def hard_decision_rate(p_x, ch, quant):
 
     Returns (rate, eps, optimal_exp_scale) where optimal_exp_scale is the
     e^s that makes the exponential Hamming family attain the rate (+inf for
-    a noiseless quantizer).
+    a noiseless quantizer). quant must be on ch's output alphabet.
     """
+    _check_quantizer(ch, quant)
     idx = ch.input.indices(quant.targets)
     correct = float(_joint(p_x, ch)[idx, np.arange(len(idx))].sum())
     eps = 1.0 - correct
@@ -308,13 +317,15 @@ def binary_hard_decision_rate(p_labels, ch, quants):
     """Per-level binary quantization rate [H(B) - m*H2(eps)]^+.
 
     eps is the level-averaged bit error probability Pr(B != B-hat); the
-    returned tuple is (rate, eps).
+    returned tuple is (rate, eps). Each quantizer must be on ch's output
+    alphabet.
     """
     m = ch.input.label_length
     if len(quants) != m:
         raise ValueError(f"need {m} quantizers, got {len(quants)}")
     eps_sum = 0.0
     for j, quant in enumerate(quants, start=1):
+        _check_quantizer(ch, quant)
         pb, chb = bit_marginal(p_labels, ch, j)
         decisions = pb.alphabet.indices(quant.targets)
         for a in (0, 1):

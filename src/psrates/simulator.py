@@ -54,17 +54,12 @@ class SimConfig:
     def __post_init__(self):
         _check_input(self.p_x, self.ch)
         _check_metric(self.ch, self.q)
-        if self.n < 1:
-            raise ValueError(f"block length n must be at least 1, got {self.n}")
+        TypicalSpec(self.p_x, self.n, self.eps_typ)
         if not 0 <= self.r_tx <= self.r_c:
             raise ValueError("need 0 <= r_tx <= r_c")
         if self.n * self.r_c > FEASIBILITY_CAP:
             raise ValueError(
                 f"n * r_c = {self.n * self.r_c} exceeds the exhaustive cap {FEASIBILITY_CAP}"
-            )
-        if not 0 <= self.eps_typ < math.inf:
-            raise ValueError(
-                f"typicality tolerance eps_typ must be finite and non-negative, got {self.eps_typ}"
             )
         if self.trials < 1:
             raise ValueError("need at least one trial")

@@ -23,9 +23,11 @@ class TypicalSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("sequence length must be at least 1")
-        if not (math.isfinite(self.eps_typ) and self.eps_typ >= 0):
-            raise ValueError("typicality tolerance must be finite and non-negative")
+            raise ValueError(f"block length n must be at least 1, got {self.n}")
+        if not 0 <= self.eps_typ < math.inf:
+            raise ValueError(
+                f"typicality tolerance eps_typ must be finite and non-negative, got {self.eps_typ}"
+            )
 
 
 def _count_bounds(spec):
@@ -106,16 +108,7 @@ def rate_of_typical_set(spec):
     size = typical_set_size(spec)
     if size == 0:
         return -math.inf
-    return _log2_big(size) / spec.n
-
-
-def _log2_big(k):
-    """log2 of a (possibly huge) positive integer."""
-    bits = k.bit_length()
-    if bits <= 512:
-        return math.log2(k)
-    shift = bits - 64
-    return math.log2(k >> shift) + shift
+    return math.log2(size) / spec.n
 
 
 def encoding_failure_bound(spec, r_prime):
@@ -131,7 +124,7 @@ def encoding_failure_bound(spec, r_prime):
     if size == 0:
         return 1.0
     n = spec.n
-    e = _log2_big(size) - n * math.log2(len(spec.p_x.alphabet)) + n * r_prime
+    e = math.log2(size) - n * math.log2(len(spec.p_x.alphabet)) + n * r_prime
     if e >= 1024:
         return 0.0
     return math.exp(-2.0 ** e)

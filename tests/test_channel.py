@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -69,6 +70,20 @@ class TestDmc:
         # rows within the tolerance are renormalised exactly
         ch = Dmc(a, a, [[0.9, 0.1 + 1e-10], [0.5, 0.5]])
         assert ch.w.sum(axis=1).tolist() == [1.0, 1.0]
+
+    def test_reads_json_with_labels_points_and_tuple_symbols(self):
+        text = """{
+          "input": {"symbols": [-1, 1], "labels": ["0", "1"], "signal_points": [-1.0, 1.0]},
+          "output": {"symbols": [[0, 0], [0, 1], [1, 1]]},
+          "rows": [[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]]
+        }"""
+        ch = Dmc.from_json_dict(json.loads(text))
+        assert ch.input == Alphabet((-1, 1), labels=("0", "1"), signal_points=(-1.0, 1.0))
+        # JSON lists come back as tuple symbols, which index like any other
+        assert ch.output.symbols == ((0, 0), (0, 1), (1, 1))
+        assert ch.output.labels is None and ch.output.signal_points is None
+        assert ch.output.index((0, 1)) == 1
+        assert ch.w.tolist() == [[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]]
 
 
 def per_edge_awgn_quantized(constellation, noise_sigma, grid):

@@ -222,6 +222,22 @@ class TestLmCommand:
         assert err.startswith(f"error: {what} must be finite and positive")
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("lm", "--s", "1e308"), {"lm_rate": 0.0}),
+    (("gmi", "--s-max", "1e308"), {"gmi": 1.2591371289985767, "s_star": 1.0000000040473913}),
+])
+def test_objective_at_huge_s_is_silent(capsys, argv, expected):
+    # s log q overflows to -inf there, and the objective is -inf, as it should be
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, argv[0], "--channel", "mary:4,0.1", "--input", "0.4,0.3,0.2,0.1",
+            "--metric", "likelihood", *argv[1:],
+        )
+    assert code == 0 and err == "" and caught == []
+    assert json.loads(out) == expected
+
+
 class TestSimulateCommand:
     ARGS = [
         "simulate", "--channel", "bsc:0.05", "--input", "uniform",

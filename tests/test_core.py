@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -86,12 +85,6 @@ class TestPmf:
     def test_normalizes_near_one(self):
         p = pmf(A2, 0.5, 0.5 + 1e-10)
         assert abs(p.probs.sum() - 1) < 1e-15
-
-    def test_json_round_trip(self):
-        p = Pmf(Alphabet(("a", "b"), labels=("0", "1")), np.array([0.3, 0.7]))
-        back = Pmf.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
-        assert back.alphabet.symbols == ("a", "b")
-        assert np.allclose(back.probs, [0.3, 0.7])
 
 
 class TestUniform:

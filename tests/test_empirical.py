@@ -230,3 +230,16 @@ class TestMonteCarloTc:
             monte_carlo_t_c(p, ch, q, 10, 0, 0)
         with pytest.raises(ValueError):
             monte_carlo_t_c(p, ch, q, 10, 5, 0, composition="typical")
+
+    def test_metric_on_other_input_order_rejected(self):
+        # taken by position, these rows would be the likelihood itself
+        ch = bsc(0.1)
+        q = Metric(Alphabet((1, 0)), ch.output, ch.w)
+        with pytest.raises(ValueError, match="metric alphabets"):
+            monte_carlo_t_c(uniform_pmf(ch.input), ch, q, n=50, trials=20, rng_seed=1)
+
+    def test_input_on_other_alphabet_rejected(self):
+        ch = bsc(0.1)
+        p = uniform_pmf(Alphabet(("a", "b")))
+        with pytest.raises(ValueError, match="input distribution"):
+            monte_carlo_t_c(p, ch, likelihood_metric(ch), n=50, trials=20, rng_seed=1)

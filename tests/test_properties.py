@@ -174,6 +174,24 @@ def test_t_c_bound_at_zero_tolerance_is_t_c(scenario):
         assert t_c_epsilon_lower_bound(p, ch, q, 0.1) <= bound
 
 
+@st.composite
+def sixty_fourths(draw):
+    """Metric on |X|, |Y| in 2..4 with entries k/64, k in 0..64. Equal
+    entries map to equal values under any entrywise transform, and distinct
+    ones are 1/64 apart, so rounding can neither make nor break a tie."""
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    cols = [draw(st.lists(st.integers(0, 64), min_size=nx, max_size=nx).filter(any))
+            for _ in range(ny)]
+    return Metric(Alphabet(tuple(range(nx))), Alphabet(tuple(range(ny))),
+                  np.array(cols, dtype=float).T / 64)
+
+
+@given(sixty_fourths(), st.sampled_from(["power", "exp"]),
+       st.one_of(st.sampled_from([1e-2, 1e2]), st.floats(1e-2, 1e2)))
+def test_order_preserving_transforms_keep_column_argmax(q, family, s):
+    assert _TRANSFORMS[family](q, s).column_argmax() == q.column_argmax()
+
+
 _symbols = st.one_of(st.integers(-5, 5), st.sampled_from(["a", "b", "ab"]),
                      st.tuples(st.integers(0, 2), st.integers(0, 2)))
 

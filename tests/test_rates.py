@@ -6,6 +6,7 @@ import pytest
 from psrates import (
     Alphabet,
     Dmc,
+    GridSpec,
     Metric,
     NumericalCheckError,
     Pmf,
@@ -317,6 +318,27 @@ class TestHardDecisionRate:
             rate, _, _ = hard_decision_rate(p, ch, quant)
             g, _ = gmi(p, ch, exp_transform(hard_decision_metric(quant, ch.input), 1.0))
             assert g == pytest.approx(rate, abs=1e-9)
+
+
+def _hard_decision(cells):
+    ch = mary_symmetric(4, 0.1)
+    quant = Quantizer(Alphabet(tuple(range(cells))), tuple(i % 4 for i in range(cells)))
+    return hard_decision_rate(uniform_pmf(ch.input), ch, quant)
+
+
+def _binary_hard_decision(cells):
+    ch = awgn_quantized(ask_constellation(4), 0.5, GridSpec(64))
+    quant = Quantizer(Alphabet(tuple(range(cells))), tuple(i % 2 for i in range(cells)))
+    return binary_hard_decision_rate(uniform_pmf(ch.input), ch, [quant, quant])
+
+
+@pytest.mark.parametrize("call, cells", [
+    (_hard_decision, 3), (_hard_decision, 5), (_binary_hard_decision, 63),
+])
+def test_quantizer_off_the_channel_output_rejected(call, cells):
+    # the channels have 4 and 64 output cells
+    with pytest.raises(ValueError, match="quantizer output alphabet"):
+        call(cells)
 
 
 class TestBinaryHardDecision:
