@@ -35,11 +35,18 @@ def _emit_json(d):
     print(json.dumps(d, sort_keys=True, indent=2))
 
 
-def _parse_floats(text, flag):
+def _parse_list(text, flag, kind=float):
     try:
-        return [float(t) for t in text.split(",")]
+        return [kind(t) for t in text.split(",")]
     except ValueError:
-        raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        raise CliError(f"{flag}: expected comma-separated {what}, got {text!r}")
+
+
+def _seed(args):
+    if args.seed < 0:
+        raise CliError(f"--seed: must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _load_json(spec, flag, kind, build):
@@ -92,7 +99,7 @@ def parse_input(spec, ch):
     if spec.startswith("mb:"):
         return chmod.maxwell_boltzmann_pmf(ch.input, float(spec[3:]))
     if "," in spec or _is_number(spec):
-        probs = _parse_floats(spec, "--input")
+        probs = _parse_list(spec, "--input")
         if len(probs) != len(ch.input):
             raise CliError(
                 f"--input: {len(probs)} probabilities for a "
@@ -223,7 +230,7 @@ def cmd_lm(args):
             raise CliError("--weights inv-input: input distribution has zeros")
         r = 1.0 / p_x.probs
     else:
-        r = np.asarray(_parse_floats(args.weights, "--weights"))
+        r = np.asarray(_parse_list(args.weights, "--weights"))
         if len(r) != len(ch.input):
             raise CliError(f"--weights: need {len(ch.input)} values")
     _emit_json({"lm_rate": rates.lm_rate(p_x, ch, q, args.s, r)})
@@ -233,7 +240,7 @@ def cmd_simulate(args):
     p_x, ch, q = _build_scenario(args)
     cfg = simulator.SimConfig(
         p_x=p_x, ch=ch, q=q, n=args.n, r_c=args.rc, r_tx=args.rtx,
-        eps_typ=args.eps_typ, trials=args.trials, rng_seed=args.seed,
+        eps_typ=args.eps_typ, trials=args.trials, rng_seed=_seed(args),
         mode=args.mode,
     )
     result = simulator.run(cfg)
@@ -250,12 +257,15 @@ def cmd_simulate(args):
 
 
 def cmd_estimate_tc(args):
+    if args.trials < 2:
+        raise CliError(f"--trials: a standard error needs at least 2 trials, got {args.trials}")
     p_x, ch, q = _build_scenario(args)
     res = empirical.monte_carlo_t_c(
-        p_x, ch, q, args.n, args.trials, args.seed, composition=args.composition
+        p_x, ch, q, args.n, args.trials, _seed(args), composition=args.composition
     )
     t_c = math.log2(len(ch.input)) - rates.uncertainty(p_x, ch, q)
-    z = (res.mean - t_c) / res.std_error if res.std_error > 0 else math.inf
+    diff = res.mean - t_c  # a std_error of 0: every trial gave the same value
+    z = diff / res.std_error if res.std_error > 0 else math.copysign(math.inf, diff) if diff else 0.0
     _emit_json({
         "mean": res.mean,
         "std_error": res.std_error,
@@ -265,10 +275,10 @@ def cmd_estimate_tc(args):
 
 
 def cmd_typical(args):
-    probs = np.asarray(_parse_floats(args.pmf, "--pmf"))
+    probs = np.asarray(_parse_list(args.pmf, "--pmf"))
     alphabet = Alphabet(tuple(range(len(probs))))
     p_x = Pmf(alphabet, probs)
-    specs = [typicality.TypicalSpec(p_x, int(t), args.eps) for t in args.n.split(",")]
+    specs = [typicality.TypicalSpec(p_x, n, args.eps) for n in _parse_list(args.n, "--n", int)]
     print("# schema: psrates.typical.v1")
     print("n,eps,size,rate,lemma_lower_bound")
     h = entropy(p_x)

@@ -81,18 +81,11 @@ class Alphabet:
         except KeyError as e:
             raise ValueError(f"symbol {e.args[0]!r} not in alphabet") from None
 
-    def index(self, symbol):
-        return int(self.indices([symbol])[0])
-
     def bits(self, level):
         """Label bit at 1-based level of every symbol, as an index array."""
         if not 1 <= level <= self.label_length:
             raise ValueError(f"level {level} out of range 1..{self.label_length}")
         return np.array([int(l[level - 1]) for l in self.labels])
-
-    def bit(self, symbol_index, level):
-        """Bit of the label at 1-based level for the given symbol index."""
-        return int(self.bits(level)[symbol_index])
 
     @classmethod
     def from_json_dict(cls, d):

@@ -64,50 +64,32 @@ def _masked(values, mask):
 
 class _Scenario:
     """What every rate of one (P_X, channel) pair shares across metrics:
-    the support of the joint P_X.W, the joint and 1/P_X on it (row-major),
-    |X|, H(X) and D(P_X || P_U).
+    the support of the joint P_X.W, the joint on it (row-major), |X|, H(X)
+    and D(P_X || P_U).
     """
 
     def __init__(self, p_x, ch):
         joint = _joint(p_x, ch)
         self.mask = joint > 0
         self.joint = joint[self.mask]
-        self.inv_p = _masked(1.0 / np.where(p_x.probs > 0, p_x.probs, 1.0)[:, None], self.mask)
         self.nx = len(p_x.alphabet)
         self.h_x = entropy(p_x)
         self.div = math.log2(self.nx) - self.h_x
 
+    def on_support(self, qs):
+        """qs on the support (row-major), or None if it vanishes there."""
+        qm = qs[self.mask]
+        return None if np.any(qm == 0) else qm
+
     def uncertainty(self, qs):
         """(U, qs on the support, its column sums there) for the metric
         entries qs; U is +inf and the arrays None if qs vanishes there."""
-        qm = qs[self.mask]
-        if np.any(qm == 0):
+        qm = self.on_support(qs)
+        if qm is None:
             return math.inf, None, None
         denom = _masked(qs.sum(axis=0), self.mask)
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(-(self.joint * np.log2(qm / denom)).sum()), qm, denom
-
-    def r_ps(self, qs):
-        """(U, the three pre-clamp forms of R_ps) for the metric entries qs.
-
-        The forms are evaluated independently and must agree within
-        PERSPECTIVE_TOL, else NumericalCheckError; all three are -inf when
-        U is infinite.
-        """
-        u, qm, denom = self.uncertainty(qs)
-        if math.isinf(u):
-            return u, (-math.inf,) * 3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # divergence perspective: expected log of q over the
-            # uniform-mixture normalizer, minus D(P_X || P_U)
-            large_code = float((self.joint * np.log2(self.nx * qm / denom)).sum()) - self.div
-            # output perspective: q reweighted by 1/P_X(X)
-            out_persp = float((self.joint * np.log2(qm * self.inv_p / denom)).sum())
-        perspectives = (self.h_x - u, large_code, out_persp)
-        spread = max(perspectives) - min(perspectives)
-        if spread > PERSPECTIVE_TOL * max(1.0, abs(perspectives[0])):
-            raise NumericalCheckError(f"rate perspectives disagree by {spread}")
-        return u, perspectives
 
 
 def uncertainty(p_x, ch, q):
@@ -122,12 +104,27 @@ def uncertainty(p_x, ch, q):
 
 
 def achievable_transmission_rate(p_x, ch, q):
-    """Full rate report, with the three perspectives evaluated independently."""
+    """Full rate report. The three pre-clamp forms of R_ps are evaluated
+    independently and must agree within PERSPECTIVE_TOL, else
+    NumericalCheckError; all three are -inf when U is infinite.
+    """
     _check_metric(ch, q)
     sc = _Scenario(p_x, ch)
-    u, perspectives = sc.r_ps(q.q)
-    pre = perspectives[0]
-    return RateReport(u, math.log2(sc.nx) - u, sc.div, max(0.0, pre), perspectives, pre < 0)
+    u, qm, denom = sc.uncertainty(q.q)
+    forms = (-math.inf,) * 3
+    if not math.isinf(u):
+        inv_p = _masked(1.0 / np.where(p_x.probs > 0, p_x.probs, 1.0)[:, None], sc.mask)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # divergence perspective: expected log of q over the
+            # uniform-mixture normalizer, minus D(P_X || P_U)
+            large_code = float((sc.joint * np.log2(sc.nx * qm / denom)).sum()) - sc.div
+            # output perspective: q reweighted by 1/P_X(X)
+            out_persp = float((sc.joint * np.log2(qm * inv_p / denom)).sum())
+        forms = (sc.h_x - u, large_code, out_persp)
+        spread = max(forms) - min(forms)
+        if spread > PERSPECTIVE_TOL * max(1.0, abs(forms[0])):
+            raise NumericalCheckError(f"rate perspectives disagree by {spread}")
+    return RateReport(u, math.log2(sc.nx) - u, sc.div, max(0.0, forms[0]), forms, forms[0] < 0)
 
 
 def conditional_entropy(p_x, ch):
@@ -225,8 +222,8 @@ def _lm_objective(p_x, ch, q, r=1.0):
     """
     _check_metric(ch, q)
     sc = _Scenario(p_x, ch)
-    q_m = q.q[sc.mask]
-    if np.any(q_m == 0):
+    q_m = sc.on_support(q.q)
+    if q_m is None:
         return lambda s: -math.inf
     supp = p_x.probs > 0
     # log 1 is an exact 0, so r = 1 leaves every sum below bit-identical
@@ -341,21 +338,19 @@ def t_c_epsilon_lower_bound(p_x, ch, q, eps_typ):
     if not 0 <= eps_typ < math.inf:
         raise ValueError(f"typicality tolerance must be finite and non-negative, got {eps_typ}")
     _check_metric(ch, q)
-    mask = _joint(p_x, ch) > 0
-    if np.any(q.q[mask] == 0):
+    sc = _Scenario(p_x, ch)
+    if sc.on_support(q.q) is None:
         return -math.inf
-    log_ratio = np.where(mask, q.log2_ratio(), 0.0)
+    log_ratio = np.where(sc.mask, q.log2_ratio(), 0.0)
     # e[a]: expected log-ratio given input a; rows outside the support give 0
     e = (ch.w * log_ratio).sum(axis=1)
     return float(p_x.probs @ e - eps_typ * (p_x.probs @ np.abs(e)))
 
 
 def _shaped_rate_objective(p_x, ch, q, make):
-    """s -> pre-clamp R_ps of make(q, s), -inf where make refuses it.
-
-    The joint on its support, H(X), D(P_X || P_U) and 1/P_X are computed
-    here, once; each call builds the member and evaluates the three
-    perspectives of R_ps, which must still agree.
+    """s -> pre-clamp R_ps = H(X) - U of make(q, s), -inf where make
+    refuses it. The joint on its support and H(X) are computed here, once;
+    each call builds the member and evaluates its uncertainty.
     """
     _check_metric(ch, q)
     sc = _Scenario(p_x, ch)
@@ -365,7 +360,7 @@ def _shaped_rate_objective(p_x, ch, q, make):
             qs = make(q, s)
         except ValueError:
             return -math.inf
-        return sc.r_ps(qs.q)[1][0]
+        return sc.h_x - sc.uncertainty(qs.q)[0]
 
     return f
 
@@ -375,8 +370,9 @@ def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3):
 
     family "power" sweeps q^s, family "exp" sweeps exp(s*q) (the right
     family for 0/1 Hamming metrics, which the power map leaves unchanged).
-    The scenario's invariants are computed once per call; every evaluation
-    still checks that the three perspectives of R_ps agree. Returns
+    The scenario's invariants are computed once per call, and the search
+    evaluates only the uncertainty form of R_ps; the three forms are checked
+    against each other once, on the reported point. Returns
     (RateReport at the best s, s_star); raises ValueError unless
     0 < s_min < s_max < inf after the exp family's overflow cap on s_max.
     """

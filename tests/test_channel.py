@@ -82,7 +82,7 @@ class TestDmc:
         # JSON lists come back as tuple symbols, which index like any other
         assert ch.output.symbols == ((0, 0), (0, 1), (1, 1))
         assert ch.output.labels is None and ch.output.signal_points is None
-        assert ch.output.index((0, 1)) == 1
+        assert int(ch.output.indices([(0, 1)])[0]) == 1
         assert ch.w.tolist() == [[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]]
 
 
@@ -243,7 +243,7 @@ class TestBitMarginal:
             # brute-force the (B_j, Y) joint over all symbols
             joint = np.zeros((2, 3))
             for i in range(4):
-                joint[GRAY4.bit(i, j)] += p.probs[i] * w[i]
+                joint[GRAY4.bits(j)[i]] += p.probs[i] * w[i]
             assert np.allclose(pb.probs, joint.sum(axis=1), atol=1e-12)
             assert np.allclose(pb.probs[:, None] * chb.w, joint, atol=1e-12)
 
@@ -276,7 +276,7 @@ class TestIcmMixture:
             for i, xs in enumerate(xin.symbols):
                 marg = rng.dirichlet(np.ones(ny))
                 for b in range(ny):
-                    w[i, yout.index((b,) * m)] = marg[b]
+                    w[i, int(yout.indices([(b,) * m])[0])] = marg[b]
         else:
             w = rng.random((len(xin), len(yout)))
             w /= w.sum(axis=1, keepdims=True)

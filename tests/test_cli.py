@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from psrates import binary_entropy, bsc, likelihood_metric, uniform_pmf
-from psrates import rates
+from psrates import empirical, rates
 from psrates.cli import main
 from psrates.rates import achievable_transmission_rate
 
@@ -318,6 +318,38 @@ class TestEstimateTcCommand:
         assert code == 2 and out == ""
         assert err.startswith(f"error: block length n must be at least 1, got {n}")
 
+    def test_exact_estimate_has_zero_z_score(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "estimate-tc", "--channel", "bsc:0.0", "--input", "uniform",
+            "--metric", "likelihood", "--n", "10", "--trials", "5", "--seed", "0",
+        )
+        assert code == 0
+        d = json.loads(out)
+        assert (d["mean"], d["std_error"], d["t_c_closed_form"]) == (1.0, 0.0, 1.0)
+        assert d["z_score"] == 0.0
+
+    @pytest.mark.parametrize("mean, z", [(0.9, -math.inf), (1.1, math.inf)])
+    def test_zero_std_error_off_t_c_has_signed_infinite_z_score(
+            self, capsys, monkeypatch, mean, z):
+        monkeypatch.setattr(empirical, "monte_carlo_t_c",
+                            lambda *args, **kwargs: empirical.MonteCarloResult(mean, 0.0))
+        code, out, _ = run_cli(
+            capsys, "estimate-tc", "--channel", "bsc:0.0", "--input", "uniform",
+            "--metric", "likelihood", "--n", "10", "--trials", "5", "--seed", "0",
+        )
+        assert code == 0
+        assert json.loads(out)["z_score"] == z
+
+    @pytest.mark.parametrize("trials", ["1", "0"])
+    def test_fewer_than_two_trials_rejected(self, capsys, trials):
+        code, out, err = run_cli(
+            capsys, "estimate-tc", "--channel", "bsc:0.05", "--input", "uniform",
+            "--metric", "likelihood", "--n", "100", "--trials", trials, "--seed", "9",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --trials: ")
+        assert "at least 2 trials" in err
+
 
 class TestTypicalCommand:
     def test_table(self, capsys):
@@ -365,6 +397,26 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: rate perspectives disagree by ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--channel", "bsc:0.05", "--input", "uniform", "--metric", "likelihood",
+         "--mode", "classical", "--n", "6", "--rc", "0.5", "--rtx", "0.5", "--trials", "2",
+         "--seed", "-1"),
+        ("estimate-tc", "--channel", "bsc:0.05", "--input", "uniform", "--metric", "likelihood",
+         "--n", "10", "--trials", "3", "--seed", "-1"),
+    ])
+    def test_negative_seed_named(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --seed: must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("n", ["abc", "8,1.5", "8,,16"])
+    def test_bad_typical_block_length_named(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "typical", "--pmf", "0.5,0.5", "--n", n, "--eps", "0.2",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --n: expected comma-separated integers, got {n!r}\n"
 
     def test_unknown_channel(self, capsys):
         code, _, err = run_cli(

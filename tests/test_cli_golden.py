@@ -78,6 +78,11 @@ CASES = {
     "rates-optimize-power-json-zero": (
         "rates", "--optimize-s", "--channel", "mary:3,0.1", "--input", "0.5,0.3,0.2",
         "--metric", str(GOLDEN / "metric-power-one-zero.json")),
+    # q^s / sum_a q^s goes subnormal on the search grid; the three forms of
+    # R_ps are checked only at the reported s*, where they agree.
+    "rates-optimize-power-subnormal": (
+        "rates", "--optimize-s", "--channel", "bsc:0.1", "--input", "uniform",
+        "--metric", str(GOLDEN / "metric-power-subnormal.json")),
     # A zero-probability input symbol.
     "gmi-mary-zero-input": (
         "gmi", "--channel", "mary:4,0.1", "--input", "0.5,0.3,0.2,0",

@@ -37,9 +37,9 @@ class TestAlphabet:
     def test_labeled_alphabet(self):
         a = Alphabet((0, 1, 2, 3), labels=("00", "01", "11", "10"))
         assert a.label_length == 2
-        assert a.bit(2, 1) == 1
-        assert a.bit(2, 2) == 1
-        assert a.bit(3, 2) == 0
+        assert a.bits(1)[2] == 1
+        assert a.bits(2)[2] == 1
+        assert a.bits(2)[3] == 0
 
     def test_bits(self):
         a = Alphabet((0, 1, 2, 3), labels=("00", "01", "11", "10"))
@@ -57,7 +57,7 @@ class TestAlphabet:
         a = Alphabet(("b", 3, 1.5))
         assert a.indices([1.5, "b", "b", 3]).tolist() == [2, 0, 0, 1]
         assert a.indices([]).dtype == np.intp
-        assert a.index(3) == 1
+        assert int(a.indices([3])[0]) == 1
         with pytest.raises(ValueError, match="symbol 'c' not in alphabet"):
             a.indices(["b", "c"])
 

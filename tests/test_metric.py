@@ -158,7 +158,7 @@ class TestBitMetricProduct:
         l1, l2 = rng.random((2, 3)), rng.random((2, 3))
         q = bit_metric_product([l1, l2], GRAY4, out)
         for i in range(4):
-            b1, b2 = GRAY4.bit(i, 1), GRAY4.bit(i, 2)
+            b1, b2 = GRAY4.bits(1)[i], GRAY4.bits(2)[i]
             assert np.allclose(q.q[i], l1[b1] * l2[b2], atol=1e-15)
 
     def test_normalizers_factor(self):

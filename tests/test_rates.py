@@ -32,6 +32,7 @@ from psrates import (
     mutual_information,
     optimize_metric_exponent,
     posterior_metric,
+    power_transform,
     product_alphabet,
     t_c_epsilon_lower_bound,
     uncertainty,
@@ -216,8 +217,8 @@ class TestIcmRate:
         w = np.zeros((4, 4))
         for i, xs in enumerate(xin.symbols):
             marg = rng.dirichlet(np.ones(2))
-            w[i, yout.index((0, 0))] = marg[0]
-            w[i, yout.index((1, 1))] = marg[1]
+            w[i, int(yout.indices([(0, 0)])[0])] = marg[0]
+            w[i, int(yout.indices([(1, 1)])[0])] = marg[1]
         ch = Dmc(xin, yout, w)
         p = Pmf(xin, rng.dirichlet(np.ones(4)))
         from psrates import icm_mixture
@@ -263,6 +264,36 @@ def test_s_bracket_checked(optimizer, s_min, s_max):
     p = uniform_pmf(ch.input)
     with pytest.raises(ValueError, match="s_min < s_max"):
         optimizer(p, ch, likelihood_metric(ch), s_min=s_min, s_max=s_max)
+
+
+class TestOptimizeMetricExponent:
+    def test_random_scenarios_pass_the_rate_check(self):
+        # q^s / sum_a q^s goes subnormal at large s on some of these; the
+        # search must not check the three forms of R_ps at such grid points
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            nx, ny = rng.integers(2, 6, size=2)
+            xs, ys = Alphabet(tuple(range(nx))), Alphabet(tuple(range(ny)))
+            p = Pmf(xs, rng.dirichlet(np.ones(nx)))
+            ch = Dmc(xs, ys, rng.dirichlet(np.ones(ny), size=nx))
+            q = Metric(xs, ys, rng.uniform(0, 2, size=(nx, ny)))
+            optimize_metric_exponent(p, ch, q)
+
+    def test_search_does_not_check_the_rate_forms(self, monkeypatch):
+        # with a negative tolerance every check fails, so it must first run
+        # after the whole search, on the member built last
+        members = []
+
+        def transform(q, s):
+            members.append(s)
+            return power_transform(q, s)
+
+        monkeypatch.setattr(rates, "power_transform", transform)
+        monkeypatch.setattr(rates, "PERSPECTIVE_TOL", -1.0)
+        ch = bsc(0.1)
+        with pytest.raises(NumericalCheckError, match="perspectives disagree"):
+            optimize_metric_exponent(uniform_pmf(ch.input), ch, likelihood_metric(ch))
+        assert len(members) > rates.GRID_POINTS
 
 
 class TestLmRate:
@@ -375,7 +406,7 @@ class TestBinaryHardDecision:
         y = (rng.random(n)[:, None] >= cum[x]).sum(axis=1)
         errs = 0
         for j, quant in enumerate(quants, start=1):
-            bits = np.array([GRAY4.bit(i, j) for i in range(4)])
+            bits = GRAY4.bits(j)
             decisions = np.array(quant.targets)
             errs += (bits[x] != decisions[y]).sum()
         emp = errs / (2 * n)
