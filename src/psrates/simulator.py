@@ -8,11 +8,18 @@ n * r_c <= 22 keeps full fixture suites in the minutes range.
 
 Memory: `run` holds one codebook of n_c * n bytes (the smallest unsigned
 dtype that fits |X| - 1), reused by every trial, plus one float64 score per
-codeword and fixed-size chunk buffers of about _CHUNK_CELLS cells. The
-codebook is drawn and scored in row chunks; numpy's generators continue the
-same stream across chunks, and each row's scores are summed over the same
-values in the same order as a one-shot draw, so the output does not depend
-on the chunk size.
+codeword. The codebook is drawn and scored in row chunks of about
+_CHUNK_CELLS cells, whose temporary arrays take up to about 24 bytes per
+cell.
+
+Output: a trial is the same for every chunk size, and the same as drawing
+the whole codebook with rng.integers (layered-ps) or rng.choice (classical)
+and scoring it with one row sum. The layered-ps draw reads PCG64's 32-bit
+words and applies the same rejection rule as integers, carrying the half of
+a 64-bit output that integers would leave pending; the classical draw counts
+the cdf entries at or below rng.random's uniforms, which is what choice's
+binary search returns. Each score adds its n terms in the order of numpy's
+pairwise row sum, so it is bit-equal to that sum.
 
 Decoder ties: the transmitted index counts as correctly decoded only when it
 is the unique maximizer. Ties are detected only when the float scores are
@@ -144,24 +151,22 @@ def run(cfg):
     realized_r_c = math.log2(n_c) / cfg.n
     realized_r_tx = math.log2(n_u) / cfg.n
     logq = cfg.q.log2_q()
+    cdf = cfg.p_x.probs.cumsum()
+    cdf /= cdf[-1]
     spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
     rows = max(1, _CHUNK_CELLS // cfg.n)
     starts = range(0, n_c, rows)
     cb = np.empty((n_c, cfg.n), dtype=np.min_scalar_type(nx - 1))
     scores = np.empty(n_c)
-    # flat index of (position i, symbol a) in the per-trial table is i*nx + a
-    offsets = np.arange(cfg.n) * nx
-    index = np.empty((min(rows, n_c), cfg.n), dtype=np.intp)
-    terms = np.empty(index.shape)
     records = []
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.rng_seed, t])
         for lo in starts:
-            m = min(rows, n_c - lo)
+            chunk = cb[lo:lo + rows]
             if cfg.mode == "layered-ps":
-                cb[lo:lo + m] = rng.integers(nx, size=(m, cfg.n))
+                _draw_uniform(rng.bit_generator, nx, chunk.reshape(-1))
             else:
-                cb[lo:lo + m] = rng.choice(nx, size=(m, cfg.n), p=cfg.p_x.probs)
+                _draw_from_cdf(rng, cdf, chunk)
         u = int(rng.integers(n_u))
         if cfg.mode == "layered-ps":
             block = cb[u * n_v:(u + 1) * n_v]
@@ -179,12 +184,9 @@ def run(cfg):
             w = u
         x = cb[w]
         y = sample_channel_outputs(cfg.ch, x, rng)
-        table = logq[:, y].T.ravel()
+        table = np.ascontiguousarray(logq[:, y].T)
         for lo in starts:
-            m = min(rows, n_c - lo)
-            np.add(cb[lo:lo + m], offsets, out=index[:m])
-            table.take(index[:m], out=terms[:m])
-            terms[:m].sum(axis=1, out=scores[lo:lo + m])
+            _score_rows(table, cb[lo:lo + rows], scores[lo:lo + rows])
         best = scores.max()
         winners = np.flatnonzero(scores == best)
         w_hat = int(winners[0])
@@ -197,6 +199,104 @@ def run(cfg):
         bound = _union_bound(t_hat, cfg.n, realized_r_c)
         records.append(TrialRecord(failed, w_error, u_error, t_hat, bound))
     return _summarize(cfg, records, realized_r_c, realized_r_tx, n_c, n_u)
+
+
+def _draw_uniform(bg, nx, out):
+    """Fill the 1-D array out as Generator.integers(nx, size=out.size) would,
+    for 1 <= nx <= 2^32, and leave the PCG64 bit generator bg where it would.
+
+    integers maps each 32-bit word w to (w * nx) >> 32 (Lemire's method) and
+    rejects w when the low 32 bits of w * nx fall below (2^32 - nx) mod nx.
+    PCG64 serves each 64-bit output as its low half, then its high half, and
+    keeps an unused high half pending in its state between calls.
+    """
+    if nx == 1:
+        out[:] = 0
+        return
+    threshold = (2 ** 32 - nx) % nx
+    state = bg.state
+    pending, last = state["has_uint32"], state["uinteger"]
+    filled = 0
+    while filled < out.size:
+        need = out.size - filled
+        raw = bg.random_raw((need - pending + 1) // 2).astype("<u8", copy=False)
+        words = raw.view("<u4")
+        if pending:
+            words = np.concatenate((np.array([last], dtype=np.uint32), words))
+        if raw.size:
+            last = int(raw[-1] >> np.uint64(32))
+        pending = words.size - need
+        words = words[:need]
+        if threshold == 0:
+            # nx = 2^k: nothing is rejected, and the map is a shift
+            np.right_shift(words, 33 - nx.bit_length(), out=out, casting="unsafe")
+            break
+        m = words.astype(np.uint64)
+        m *= nx
+        keep = m.astype(np.uint32) >= threshold
+        m >>= np.uint64(32)
+        kept = m[keep]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = pending, last
+    bg.state = state
+
+
+def _draw_from_cdf(rng, cdf, out):
+    """Fill out as Generator.choice(len(cdf), size=out.shape, p=probs) would,
+    where cdf = probs.cumsum() / its last entry.
+
+    choice draws one uniform u per symbol and returns the number of cdf
+    entries <= u (searchsorted, side="right"); u < 1 = cdf[-1], so the last
+    entry is never counted.
+    """
+    u = rng.random(out.shape)
+    out[...] = 0
+    for c in cdf[:-1]:
+        np.add(out, u >= c, out=out)
+
+
+def _score_rows(table, chunk, out):
+    """out[r] = sum over i of table[i, chunk[r, i]], bit-equal to
+    table[np.arange(n), chunk].sum(axis=1).
+
+    The gathered terms are added column by column in the order numpy's
+    pairwise row sum adds them, starting from 0.
+    """
+    np.add(_pairwise_sum(table, chunk, 0, chunk.shape[1]), 0.0, out=out)
+
+
+def _pairwise_sum(table, chunk, lo, hi):
+    """The sum of columns lo..hi-1 of the gathered terms, as numpy's
+    pairwise_sum adds a row: sequentially below 8 terms, with 8 accumulators
+    over blocks of 8 up to 128, and split in halves rounded down to a
+    multiple of 8 above that."""
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        acc = _pairwise_sum(table, chunk, lo, lo + half)
+        acc += _pairwise_sum(table, chunk, lo + half, hi)
+        return acc
+    if n < 8:
+        acc = np.zeros(len(chunk))
+        tail = lo
+    else:
+        r = [table[lo + j].take(chunk[:, lo + j]) for j in range(8)]
+        tail = hi - n % 8
+        for b in range(lo + 8, tail, 8):
+            for j in range(8):
+                r[j] += table[b + j].take(chunk[:, b + j])
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for j in (0, 2, 4, 6):
+            r[j] += r[j + 1]
+        r[0] += r[2]
+        r[4] += r[6]
+        r[0] += r[4]
+        acc = r[0]
+    for i in range(tail, hi):
+        acc += table[i].take(chunk[:, i])
+    return acc
 
 
 def _summarize(cfg, records, r_c, r_tx, n_c, n_u):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psrates import (
@@ -19,15 +19,24 @@ from psrates import (
     Metric,
     NumericalCheckError,
     Pmf,
+    Quantizer,
     achievable_transmission_rate,
+    bit_marginal,
+    bit_metric_product,
+    bmd_rate,
     conditional_entropy,
     entropy,
     exp_transform,
     gmi,
+    hard_decision_metric,
+    hard_decision_rate,
+    icm_mixture,
+    icm_rate,
     lm_rate,
     metric_switch,
     posterior_metric,
     power_transform,
+    product_alphabet,
     t_c_epsilon_lower_bound,
     uncertainty,
 )
@@ -173,6 +182,89 @@ def test_t_c_bound_at_zero_tolerance_is_t_c(scenario):
     else:
         assert bound == pytest.approx(t_c, abs=1e-12)
         assert t_c_epsilon_lower_bound(p, ch, q, 0.1) <= bound
+
+
+# The paper's instance rates are R_ps of particular metrics.
+
+@st.composite
+def labeled_scenarios(draw):
+    """(P_X, channel) on a 2^m-symbol alphabet with shuffled m-bit labels,
+    m in 1..3, and |Y| in 2..4; no bit level is degenerate."""
+    m, ny = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    labels = draw(st.permutations([format(i, f"0{m}b") for i in range(2 ** m)]))
+    xs, ys = Alphabet(tuple(range(2 ** m)), labels=labels), Alphabet(tuple(range(ny)))
+    p = np.array(draw(_weights(2 ** m)), dtype=float)
+    p = Pmf(xs, p / p.sum())
+    for j in range(1, m + 1):
+        assume(0 < p.probs[xs.bits(j) == 1].sum() < 1)
+    w = np.array([draw(_weights(ny)) for _ in range(2 ** m)], dtype=float)
+    return p, Dmc(xs, ys, w / w.sum(axis=1, keepdims=True))
+
+
+@given(labeled_scenarios())
+def test_bmd_rate_is_rps_of_bitwise_posterior_product(scenario):
+    p, ch = scenario
+    m = ch.input.label_length
+    bmd = bmd_rate(p, ch)
+    pre = entropy(p) - sum(bmd.level_cond_entropies)
+    assert bmd.r_bmd == max(0.0, pre)
+    levels = [posterior_metric(*bit_marginal(p, ch, j)) for j in range(1, m + 1)]
+    q = bit_metric_product(levels, ch.input, ch.output)
+    rep = achievable_transmission_rate(p, ch, q)
+    assert rep.r_ps_by_perspective[0] == pytest.approx(pre, abs=1e-12)
+
+
+@given(scenarios(), st.data())
+def test_hard_decision_rate_is_rps_of_exp_hamming(scenario, data):
+    p, ch, _ = scenario
+    nx = len(ch.input)
+    targets = data.draw(st.lists(st.integers(0, nx - 1), min_size=len(ch.output),
+                                 max_size=len(ch.output)))
+    quant = Quantizer(ch.output, targets)
+    try:
+        rate, _, scale = hard_decision_rate(p, ch, quant)
+    except ValueError:
+        assume(False)  # the quantizer is always wrong
+    hamming = hard_decision_metric(quant, ch.input)
+    if math.isinf(scale):
+        q = hamming  # a noiseless quantizer: the limit of e^s -> inf
+    elif scale > 1:
+        q = exp_transform(hamming, math.log(scale))
+    else:
+        # s = log(scale) <= 0 lies outside the exp family; build e^(s q) here
+        q = Metric(ch.input, ch.output, np.where(hamming.q > 0, scale, 1.0))
+    assert rate == pytest.approx(achievable_transmission_rate(p, ch, q).r_ps, abs=1e-12)
+
+
+@st.composite
+def vector_scenarios(draw):
+    """(P_X, channel) on m-fold product alphabets, m in 1..3, with base
+    sizes in 2..3 (2 for m = 3) and a channel law that need not factor over
+    positions."""
+    m = draw(st.integers(1, 3))
+    base = st.integers(2, 3 if m < 3 else 2)
+    xs = product_alphabet(Alphabet(tuple(range(draw(base)))), m)
+    ys = product_alphabet(Alphabet(tuple(range(draw(base)))), m)
+    p = np.array(draw(_weights(len(xs))), dtype=float)
+    w = np.array([draw(_weights(len(ys))) for _ in range(len(xs))], dtype=float)
+    return Pmf(xs, p / p.sum()), Dmc(xs, ys, w / w.sum(axis=1, keepdims=True))
+
+
+@given(vector_scenarios())
+def test_icm_rate_is_rps_of_product_of_mixture_posteriors(scenario):
+    p, ch = scenario
+    m = len(ch.input.symbols[0])
+    p_mix, ch_mix = icm_mixture(p, ch)
+    pre = entropy(p) - m * conditional_entropy(p_mix, ch_mix)
+    assert icm_rate(p, ch) == max(0.0, pre)
+    post = posterior_metric(p_mix, ch_mix).q
+    q = np.ones((len(ch.input), len(ch.output)))
+    for i in range(m):
+        x_i = np.array([x[i] for x in ch.input.symbols])
+        y_i = np.array([y[i] for y in ch.output.symbols])
+        q *= post[x_i[:, None], y_i[None, :]]
+    rep = achievable_transmission_rate(p, ch, Metric(ch.input, ch.output, q))
+    assert rep.r_ps_by_perspective[0] == pytest.approx(pre, abs=1e-12)
 
 
 @st.composite

@@ -322,8 +322,8 @@ class TestStreamedCodebook:
             assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
 
     def test_codebook_memory_bounded(self):
-        # the codebook is held as uint8 (n_c * n bytes), never as an int64
-        # or float64 array of the same shape (8 * n_c * n bytes each)
+        # the module docstring's promise: the uint8 codebook (n_c * n bytes),
+        # one float64 score per codeword and up to about 24 bytes per chunk cell
         cfg = layered_config(n=18, r_c=1.0, r_tx=0.5, trials=2)
         n_c, _, _ = cfg.codebook_sizes()
         tracemalloc.start()
@@ -332,4 +332,74 @@ class TestStreamedCodebook:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n_c * cfg.n * 4
+        assert peak < n_c * cfg.n + 8 * n_c + 24 * simulator._CHUNK_CELLS
+
+
+# The draw and the scorer reproduce numpy's own Generator.integers,
+# Generator.choice and row sum bit for bit, so that the simulator's output
+# does not depend on how it computes them. A numpy whose algorithms differ
+# must fail here, not change the golden outputs silently.
+
+class TestDrawOracle:
+    # 2^31 + 1 rejects about half of all 32-bit words
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 5, 8, 255, 256, 257, 2 ** 31 + 1])
+    @pytest.mark.parametrize("size", [1, 7, 1001])
+    @pytest.mark.parametrize("pending", [False, True], ids=["even", "pending-half"])
+    def test_uniform_draw_is_integers(self, nx, size, pending):
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        if pending:
+            # one 32-bit word leaves the high half of a 64-bit output pending
+            ours.integers(3), ref.integers(3)
+            assert ours.bit_generator.state["has_uint32"] == 1
+        out = np.empty(size, dtype=np.uint64)
+        simulator._draw_uniform(ours.bit_generator, nx, out)
+        assert np.array_equal(out, ref.integers(nx, size=size))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.integers(1000) == ref.integers(1000)
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("probs", [
+        [1.0], [0.5, 0.5], [0.0, 1.0], [0.4, 0.3, 0.2, 0.1],
+        # zero entries make flat steps in the cdf
+        [0.5, 0.0, 0.3, 0.0, 0.2], [0.0, 0.25, 0.0, 0.75, 0.0],
+    ])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (101, 5)])
+    def test_cdf_draw_is_choice(self, probs, shape):
+        probs = np.array(probs)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        ours, ref = np.random.default_rng(6), np.random.default_rng(6)
+        out = np.empty(shape, dtype=np.uint8)
+        simulator._draw_from_cdf(ours, cdf, out)
+        assert np.array_equal(out, ref.choice(len(probs), size=shape, p=probs))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+class TestScoreOracle:
+    def test_scores_are_numpy_row_sums(self):
+        # terms of mixed magnitude, so that any other order of additions
+        # rounds differently, and -inf at a few (position, symbol) pairs
+        rng = np.random.default_rng(7)
+        for n in range(1, 301):
+            table = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-8, 9, size=(n, 4))
+            table[rng.integers(n, size=2), 0] = -np.inf
+            chunk = rng.integers(4, size=(33, n)).astype(np.uint8)
+            out = np.empty(len(chunk))
+            simulator._score_rows(table, chunk, out)
+            expected = table[np.arange(n), chunk].sum(axis=1)
+            assert np.array_equal(_bits(out), _bits(expected)), n
+
+    def test_duplicate_codewords_tie(self):
+        rng = np.random.default_rng(8)
+        n = 150
+        table = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 9, size=(n, 2))
+        chunk = rng.integers(2, size=(20, n)).astype(np.uint8)
+        chunk[11] = chunk[3]
+        out = np.empty(len(chunk))
+        simulator._score_rows(table, chunk, out)
+        assert _bits(out)[11] == _bits(out)[3]
+        assert np.array_equal(_bits(out), _bits(table[np.arange(n), chunk].sum(axis=1)))
