@@ -14,12 +14,10 @@ cell.
 
 Output: a trial is the same for every chunk size, and the same as drawing
 the whole codebook with rng.integers (layered-ps) or rng.choice (classical)
-and scoring it with one row sum. The layered-ps draw reads PCG64's 32-bit
-words and applies the same rejection rule as integers, carrying the half of
-a 64-bit output that integers would leave pending; the classical draw counts
-the cdf entries at or below rng.random's uniforms, which is what choice's
-binary search returns. Each score adds its n terms in the order of numpy's
-pairwise row sum, so it is bit-equal to that sum.
+and scoring it with one row sum. For |X| a power of two the layered-ps draw
+shifts PCG64's 32-bit words as integers does, carrying the half of a 64-bit
+output that integers would leave pending. Each score adds its n terms in
+the order of numpy's pairwise row sum, so it is bit-equal to that sum.
 
 Decoder ties: the transmitted index counts as correctly decoded only when it
 is the unique maximizer. Ties are detected only when the float scores are
@@ -151,8 +149,6 @@ def run(cfg):
     realized_r_c = math.log2(n_c) / cfg.n
     realized_r_tx = math.log2(n_u) / cfg.n
     logq = cfg.q.log2_q()
-    cdf = cfg.p_x.probs.cumsum()
-    cdf /= cdf[-1]
     spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
     rows = max(1, _CHUNK_CELLS // cfg.n)
     starts = range(0, n_c, rows)
@@ -164,9 +160,9 @@ def run(cfg):
         for lo in starts:
             chunk = cb[lo:lo + rows]
             if cfg.mode == "layered-ps":
-                _draw_uniform(rng.bit_generator, nx, chunk.reshape(-1))
+                _draw_uniform(rng, nx, chunk.reshape(-1))
             else:
-                _draw_from_cdf(rng, cdf, chunk)
+                chunk[...] = rng.choice(nx, size=chunk.shape, p=cfg.p_x.probs)
         u = int(rng.integers(n_u))
         if cfg.mode == "layered-ps":
             block = cb[u * n_v:(u + 1) * n_v]
@@ -201,60 +197,32 @@ def run(cfg):
     return _summarize(cfg, records, realized_r_c, realized_r_tx, n_c, n_u)
 
 
-def _draw_uniform(bg, nx, out):
-    """Fill the 1-D array out as Generator.integers(nx, size=out.size) would,
-    for 1 <= nx <= 2^32, and leave the PCG64 bit generator bg where it would.
+def _draw_uniform(rng, nx, out):
+    """Fill the 1-D array out as rng.integers(nx, size=out.size) would, and
+    leave rng where it would.
 
-    integers maps each 32-bit word w to (w * nx) >> 32 (Lemire's method) and
-    rejects w when the low 32 bits of w * nx fall below (2^32 - nx) mod nx.
-    PCG64 serves each 64-bit output as its low half, then its high half, and
-    keeps an unused high half pending in its state between calls.
+    For nx = 2^k >= 2, integers maps each 32-bit word w of the PCG64 stream
+    to (w * nx) >> 32 = w >> (32 - k) and rejects none, so the words are
+    shifted here directly. PCG64 serves each 64-bit output as its low half,
+    then its high half, and keeps an unused high half pending in its state
+    between calls. Other nx reject some words; those call integers itself.
     """
-    if nx == 1:
-        out[:] = 0
+    if nx == 1 or nx & (nx - 1):
+        out[:] = rng.integers(nx, size=out.size)
         return
-    threshold = (2 ** 32 - nx) % nx
+    bg = rng.bit_generator
     state = bg.state
     pending, last = state["has_uint32"], state["uinteger"]
-    filled = 0
-    while filled < out.size:
-        need = out.size - filled
-        raw = bg.random_raw((need - pending + 1) // 2).astype("<u8", copy=False)
-        words = raw.view("<u4")
-        if pending:
-            words = np.concatenate((np.array([last], dtype=np.uint32), words))
-        if raw.size:
-            last = int(raw[-1] >> np.uint64(32))
-        pending = words.size - need
-        words = words[:need]
-        if threshold == 0:
-            # nx = 2^k: nothing is rejected, and the map is a shift
-            np.right_shift(words, 33 - nx.bit_length(), out=out, casting="unsafe")
-            break
-        m = words.astype(np.uint64)
-        m *= nx
-        keep = m.astype(np.uint32) >= threshold
-        m >>= np.uint64(32)
-        kept = m[keep]
-        out[filled:filled + kept.size] = kept
-        filled += kept.size
+    raw = bg.random_raw((out.size - pending + 1) // 2).astype("<u8", copy=False)
+    words = raw.view("<u4")
+    if pending:
+        words = np.concatenate((np.array([last], dtype=np.uint32), words))
+    if raw.size:
+        last = int(raw[-1] >> np.uint64(32))
+    np.right_shift(words[:out.size], 33 - nx.bit_length(), out=out, casting="unsafe")
     state = bg.state
-    state["has_uint32"], state["uinteger"] = pending, last
+    state["has_uint32"], state["uinteger"] = words.size - out.size, last
     bg.state = state
-
-
-def _draw_from_cdf(rng, cdf, out):
-    """Fill out as Generator.choice(len(cdf), size=out.shape, p=probs) would,
-    where cdf = probs.cumsum() / its last entry.
-
-    choice draws one uniform u per symbol and returns the number of cdf
-    entries <= u (searchsorted, side="right"); u < 1 = cdf[-1], so the last
-    entry is never counted.
-    """
-    u = rng.random(out.shape)
-    out[...] = 0
-    for c in cdf[:-1]:
-        np.add(out, u >= c, out=out)
 
 
 def _score_rows(table, chunk, out):
