@@ -153,15 +153,15 @@ def bit_marginal(p_labels, ch, j):
     """Marginal bit distribution and bit-conditional channel for level j.
 
     Returns (P_Bj as a Pmf on {0,1}, Dmc from {0,1} to the channel output).
+    A bit value of probability 0 keeps its 0 in P_Bj and gets a uniform
+    channel row, as a zero-mass input does in icm_mixture.
     """
     bits = ch.input.bits(j)
     _check_input(p_labels, ch)
     binary = Alphabet((0, 1), labels=("0", "1"))
     pb = np.array([p_labels.probs[bits == a].sum() for a in (0, 1)])
-    if np.any(pb == 0):
-        raise ValueError(f"bit level {j} is degenerate (a bit value has probability 0)")
-    wb = np.empty((2, len(ch.output)))
-    for a in (0, 1):
+    wb = np.full((2, len(ch.output)), 1.0 / len(ch.output))
+    for a in np.flatnonzero(pb):
         sel = bits == a
         wb[a] = (p_labels.probs[sel, None] / pb[a] * ch.w[sel]).sum(axis=0)
     return Pmf(binary, pb), Dmc(binary, ch.output, wb)

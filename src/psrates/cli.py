@@ -9,6 +9,7 @@ error. Identical flags and seed give byte-identical output.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -361,6 +362,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed reader must fail here, not at exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

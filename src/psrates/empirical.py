@@ -14,6 +14,9 @@ from .channel import _check_input
 from .core import NumericalCheckError
 from .rates import _check_metric
 
+# Buckets of the guide table that _draw_iid looks uniforms up in.
+_GUIDE_BUCKETS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SequencePair:
@@ -110,6 +113,41 @@ def sample_channel_outputs(ch, x_idx, rng):
     return np.minimum(y, len(ch.output) - 1)
 
 
+def _iid_guide(probs):
+    """(scaled, table) for _draw_iid: rng.choice's cdf of probs times
+    _GUIDE_BUCKETS, an exact scaling, and for each bucket [b, b + 1) the
+    number of scaled entries <= every point of it, or -1 when an entry lies
+    inside it. Costs O(|X| + _GUIDE_BUCKETS) time and 1-2 bytes per bucket."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    scaled = cdf * _GUIDE_BUCKETS
+    # entry k counts in every bucket from floor(scaled[k]) on
+    floor = np.floor(scaled)
+    steps = np.diff(floor.astype(np.intp), prepend=0)
+    table = np.repeat(np.arange(len(probs), dtype=np.min_scalar_type(-len(probs))), steps)
+    table[floor[floor != scaled].astype(np.intp)] = -1
+    return scaled, table
+
+
+def _draw_iid(rng, guide, u):
+    """u.size indices drawn i.i.d. from the guide's pmf: the values
+    rng.choice(len(probs), size=u.size, p=probs) returns, leaving rng where
+    choice leaves it. u is a 1-D float64 scratch array.
+
+    choice computes cdf.searchsorted(rng.random(u.size), "right"), the
+    number of cdf entries <= each uniform. Here the same uniforms, scaled
+    exactly, take that number from the guide table by their integer part;
+    only those in a bucket with a cdf entry inside it are searched.
+    """
+    scaled, table = guide
+    rng.random(out=u)
+    u *= _GUIDE_BUCKETS
+    idx = table.take(u.astype(np.intp))
+    open_ = np.flatnonzero(idx < 0)
+    idx[open_] = scaled.searchsorted(u[open_], "right")
+    return idx
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     mean: float
@@ -131,13 +169,14 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
         raise ValueError("need at least one trial")
     if composition not in ("iid", "exact"):
         raise ValueError(f"unknown composition mode {composition!r}")
-    nx = len(p_x.alphabet)
+    if composition == "iid":
+        guide, u = _iid_guide(p_x.probs), np.empty(n)
     ratio = q.log2_ratio()
     values = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([rng_seed, t])
         if composition == "iid":
-            x = rng.choice(nx, size=n, p=p_x.probs)
+            x = _draw_iid(rng, guide, u)
         else:
             x = exact_composition_sequence(p_x, n, rng)
         y = sample_channel_outputs(ch, x, rng)

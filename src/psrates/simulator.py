@@ -10,14 +10,18 @@ Memory: `run` holds one codebook of n_c * n bytes (the smallest unsigned
 dtype that fits |X| - 1), reused by every trial, plus one float64 score per
 codeword. The codebook is drawn and scored in row chunks of about
 _CHUNK_CELLS cells, whose temporary arrays take up to about 24 bytes per
-cell.
+cell. The classical draw takes about 19: a reused float64 uniform, its
+intp bucket index, the 1- or 2-byte drawn index and a bool mask.
 
 Output: a trial is the same for every chunk size, and the same as drawing
 the whole codebook with rng.integers (layered-ps) or rng.choice (classical)
 and scoring it with one row sum. For |X| a power of two the layered-ps draw
 shifts PCG64's 32-bit words as integers does, carrying the half of a 64-bit
-output that integers would leave pending. Each score adds its n terms in
-the order of numpy's pairwise row sum, so it is bit-equal to that sum.
+output that integers would leave pending. The classical draw takes the
+same rng.random uniforms as choice and maps them to choice's indices through
+a guide table over their leading 16 bits (empirical._draw_iid), built once
+per run. Each score adds its n terms in the order of numpy's pairwise row
+sum, so it is bit-equal to that sum.
 
 Decoder ties: the transmitted index counts as correctly decoded only when it
 is the unique maximizer. Ties are detected only when the float scores are
@@ -31,7 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _check_input
-from .empirical import SequencePair, empirical_code_rate, sample_channel_outputs
+from .empirical import (
+    SequencePair,
+    _draw_iid,
+    _iid_guide,
+    empirical_code_rate,
+    sample_channel_outputs,
+)
 from .rates import _check_metric
 from .typicality import TypicalSpec, is_typical_counts
 
@@ -154,6 +164,8 @@ def run(cfg):
     starts = range(0, n_c, rows)
     cb = np.empty((n_c, cfg.n), dtype=np.min_scalar_type(nx - 1))
     scores = np.empty(n_c)
+    if cfg.mode == "classical":
+        guide, uniforms = _iid_guide(cfg.p_x.probs), np.empty(min(rows, n_c) * cfg.n)
     records = []
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.rng_seed, t])
@@ -162,7 +174,7 @@ def run(cfg):
             if cfg.mode == "layered-ps":
                 _draw_uniform(rng, nx, chunk.reshape(-1))
             else:
-                chunk[...] = rng.choice(nx, size=chunk.shape, p=cfg.p_x.probs)
+                chunk[...] = _draw_iid(rng, guide, uniforms[:chunk.size]).reshape(chunk.shape)
         u = int(rng.integers(n_u))
         if cfg.mode == "layered-ps":
             block = cb[u * n_v:(u + 1) * n_v]

@@ -13,6 +13,7 @@ from psrates import (
     awgn_quantized,
     binary_entropy,
     bit_marginal,
+    bmd_rate,
     bsc,
     icm_mixture,
     mary_symmetric,
@@ -21,6 +22,7 @@ from psrates import (
     product_alphabet,
     uniform_pmf,
 )
+from psrates import cli
 
 
 class TestMarySymmetric:
@@ -258,12 +260,20 @@ class TestBitMarginal:
             pb, chb = bit_marginal(p, ch, j)
             assert np.allclose(pb.probs @ chb.w, p_y, atol=1e-10)
 
-    def test_degenerate_level_rejected(self):
-        ch4 = mary_symmetric(4, 0.1)
-        chl = Dmc(GRAY4, ch4.output, ch4.w)
-        p = Pmf(GRAY4, np.array([0.5, 0.5, 0.0, 0.0]))  # bit 1 always 0
-        with pytest.raises(ValueError):
-            bit_marginal(p, chl, 1)
+    def test_constant_level_accepted(self, capsys):
+        # gray labels 00 01 11 10: bit 1 is always 0, so H(B_1|Y) = 0 and
+        # the BMD rate is that of level 2 alone
+        argv = ["rates", "--channel", "awgn-ask:4,0.5,64", "--input", "0.5,0.5,0,0",
+                "--metric", "bitwise-posterior"]
+        assert cli.main(argv) == 0
+        r_ps = json.loads(capsys.readouterr().out)["r_ps"]
+        ch = cli.parse_channel("awgn-ask:4,0.5,64")
+        p = cli.parse_input("0.5,0.5,0,0", ch)
+        pb, chb = bit_marginal(p, ch, 1)
+        assert pb.probs.tolist() == [1.0, 0.0]
+        assert np.all(chb.w[1] == 1 / len(ch.output))
+        assert bmd_rate(p, ch).r_bmd == pytest.approx(r_ps, abs=1e-12)
+        assert r_ps > 0
 
 
 class TestIcmMixture:

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -386,6 +389,24 @@ class TestTypicalCommand:
 
 
 class TestErrorHandling:
+    def test_closed_reader_exits_1_without_traceback(self):
+        # 2000 rows are well over a 64 KB pipe buffer, so a write must fail
+        src = pathlib.Path(__file__).parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "psrates.cli", "sweep", "--channel", "bsc:0.1",
+             "--input", "uniform", "--metric", "likelihood", "--param", "eps",
+             "--start", "0.01", "--stop", "0.4", "--steps", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"# schema: psrates.sweep.eps.v1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
     def test_failed_numerical_check_exits_3(self, capsys, monkeypatch):
         # no spread is below a negative tolerance, so every R_ps check fails
         monkeypatch.setattr(rates, "PERSPECTIVE_TOL", -1.0)

@@ -243,3 +243,90 @@ class TestMonteCarloTc:
         p = uniform_pmf(Alphabet(("a", "b")))
         with pytest.raises(ValueError, match="input distribution"):
             monte_carlo_t_c(p, ch, likelihood_metric(ch), n=50, trials=20, rng_seed=1)
+
+    def test_iid_matches_choice_with_one_table(self, monkeypatch):
+        # the classical draw reproduces rng.choice; its table is built once
+        ch = bsc(0.1)
+        p = Pmf(ch.input, np.array([0.8, 0.2]))
+        q = posterior_metric(p, ch)
+        guide, builds = empirical._iid_guide, []
+
+        def counted(probs):
+            builds.append(probs)
+            return guide(probs)
+
+        monkeypatch.setattr(empirical, "_iid_guide", counted)
+        res = monte_carlo_t_c(p, ch, q, n=300, trials=7, rng_seed=5)
+        assert len(builds) == 1
+        values = []
+        for t in range(7):
+            rng = np.random.default_rng([5, t])
+            x = rng.choice(2, size=300, p=p.probs)
+            values.append(q.log2_ratio()[x, sample_channel_outputs(ch, x, rng)].mean())
+        assert res.mean == float(np.mean(values))
+        assert res.std_error == float(np.std(values, ddof=1) / math.sqrt(7))
+
+
+def _iid_probs(nx, kind):
+    """A pmf on nx symbols of the given kind, summing to 1 within 1e-12."""
+    rng = np.random.default_rng(nx)
+    p = rng.dirichlet(np.full(nx, 0.3 if kind == "sparse" else 1.0))
+    if kind == "zeros":
+        # first, middle and last, keeping one positive entry
+        p[sorted({0, nx // 2, nx - 1})[:nx - 1]] = 0.0
+    elif kind == "one-bucket":
+        # up to 200 cdf steps of 1e-9, within one or two buckets
+        p[1:201] = 1e-9
+    elif kind == "subnormal":
+        # subnormal cdf steps at the start and steps lost to rounding later
+        p[:nx // 2] = 1e-310
+    return p / p.sum()
+
+
+# The classical codebook draw reproduces numpy's Generator.choice value for
+# value and leaves the generator where choice leaves it, so that the
+# simulator's output does not depend on how the draw is computed.
+
+class TestIidDrawOracle:
+    @pytest.mark.parametrize("kind", ["dirichlet", "sparse", "zeros", "one-bucket", "subnormal"])
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 16, 64, 255, 256, 257, 1000])
+    def test_draw_is_choice(self, nx, kind):
+        p = _iid_probs(nx, kind)
+        guide = empirical._iid_guide(p)
+        for size in (1, 7, 1001, (37, 13)):
+            ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+            u = np.empty(np.prod(size, dtype=int))
+            x = empirical._draw_iid(ours, guide, u).reshape(size)
+            assert np.array_equal(x, ref.choice(nx, size=size, p=p)), size
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert ours.random() == ref.random()
+            assert ours.integers(1000) == ref.integers(1000)
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "zeros", "one-bucket", "subnormal"])
+    def test_uniforms_on_cdf_entries_and_bucket_edges(self, kind):
+        # choice counts the cdf entries <= u: uniforms equal to an entry, or
+        # one step either side of it, and on bucket edges must agree with it
+        p = _iid_probs(257, kind)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        values = np.concatenate((
+            cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
+            np.arange(0, empirical._GUIDE_BUCKETS, 97) / empirical._GUIDE_BUCKETS,
+            [np.nextafter(1.0, 0)],
+        ))
+        values = values[values < 1]
+
+        class Replay:
+            def random(self, out):
+                out[:] = values
+
+        x = empirical._draw_iid(Replay(), empirical._iid_guide(p), np.empty(values.size))
+        assert np.array_equal(x, cdf.searchsorted(values, "right"))
+
+    def test_only_an_entry_inside_a_bucket_opens_it(self):
+        # an entry on the edge b counts from bucket b on and opens none
+        _, table = empirical._iid_guide(np.array([0.25, 0.25, 0.5]))
+        b = empirical._GUIDE_BUCKETS // 4
+        assert table[b - 1] == 0 and table[b] == 1 and not np.any(table < 0)
+        _, table = empirical._iid_guide(np.array([1e-6, 1 - 1e-6]))
+        assert table[0] == -1 and np.all(table[1:] == 1)

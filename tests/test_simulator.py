@@ -284,7 +284,15 @@ def _streamed_cases():
     bsc05 = bsc(0.05)
     shaped = Pmf(bsc05.input, np.array([0.7, 0.3]))
     noiseless = mary_symmetric(2, 0.0)
+    wide = {}
+    for nx in (256, 257):  # uint8 and uint16 codebooks
+        ch = mary_symmetric(nx, 0.1)
+        p = Pmf(ch.input, np.random.default_rng(nx).dirichlet(np.ones(nx)))
+        wide[f"classical-nx{nx}"] = layered_config(
+            ch=ch, p_x=p, q=likelihood_metric(ch), mode="classical",
+            n=2, r_c=5.0, r_tx=5.0, eps_typ=0.5, trials=3)
     return {
+        **wide,
         "layered-nx2": layered_config(trials=6),
         # rng.integers(3) rejects and redraws; the chunked stream must too
         "layered-nx3": layered_config(
@@ -325,6 +333,21 @@ class TestStreamedCodebook:
         # the module docstring's promise: the uint8 codebook (n_c * n bytes),
         # one float64 score per codeword and up to about 24 bytes per chunk cell
         cfg = layered_config(n=18, r_c=1.0, r_tx=0.5, trials=2)
+        n_c, _, _ = cfg.codebook_sizes()
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_c * cfg.n + 8 * n_c + 24 * simulator._CHUNK_CELLS
+
+    def test_classical_codebook_memory_bounded(self):
+        # the same promise for the draw from P_X, whose temporaries differ
+        ch = bsc(0.05)
+        p = Pmf(ch.input, np.array([0.7, 0.3]))
+        cfg = layered_config(p_x=p, q=posterior_metric(p, ch), mode="classical",
+                             n=18, r_c=1.0, r_tx=1.0, trials=2)
         n_c, _, _ = cfg.codebook_sizes()
         tracemalloc.start()
         try:
