@@ -244,10 +244,17 @@ def cmd_simulate(args):
         eps_typ=args.eps_typ, trials=args.trials, rng_seed=_seed(args),
         mode=args.mode,
     )
+    csv = None
+    if args.per_trial_csv:
+        # opened first, so that a path that cannot be written costs no run
+        try:
+            csv = open(args.per_trial_csv, "w")
+        except OSError as e:
+            raise CliError(f"--per-trial-csv: cannot write {args.per_trial_csv!r} ({e.strerror})")
     result = simulator.run(cfg)
     _emit_json(result.to_json_dict())
-    if args.per_trial_csv:
-        with open(args.per_trial_csv, "w") as fh:
+    if csv:
+        with csv as fh:
             fh.write("# schema: psrates.simulate.per-trial.v1\n")
             fh.write("trial,encoding_failed,w_error,u_error,t_hat,union_bound\n")
             for i, rec in enumerate(result.per_trial):

@@ -6,12 +6,24 @@ message, transmits it through the channel and decodes by exhaustive
 metric-product maximization over the whole codebook. The feasibility cap
 n * r_c <= 22 keeps full fixture suites in the minutes range.
 
-Memory: `run` holds one codebook of n_c * n bytes (the smallest unsigned
-dtype that fits |X| - 1), reused by every trial, plus one float64 score per
-codeword. The codebook is drawn and scored in row chunks of about
-_CHUNK_CELLS cells, whose temporary arrays take up to about 24 bytes per
-cell. The classical draw takes about 19: a reused float64 uniform, its
-intp bucket index, the 1- or 2-byte drawn index and a bool mask.
+Memory: `run` holds no codebook. Each trial draws its codebook once, in row
+chunks of about _CHUNK_CELLS cells from the trial's start state, and scores
+each chunk as soon as it is drawn. It keeps the running maximum score, the
+first index that reaches it and how many scores equal it, which is the whole
+codebook's max / flatnonzero rule. A chunk's temporaries take up to about 24
+bytes per cell; the classical draw takes about 19: a reused float64 uniform,
+its intp bucket index, the 1- or 2-byte drawn index and a bool mask. Beyond
+that a trial holds O(n) and one recorded generator state (about 1 KB) per
+chunk.
+
+The draw of u follows the whole codebook in the stream, and the encoding scan
+and x read the rows of block u, all before y exists. Both come from a spare
+PCG64 moved there with advance (_seek): a layered-ps cell takes one 32-bit
+word, none when |X| = 1, and a classical cell one 64-bit word. When |X| is
+not a power of two, Generator.integers rejects a word and draws another with
+probability (2^32 mod |X|) / 2^32. The scoring pass then ends at another
+state than the seek gave; the trial is redone with the spare generator
+positioned from the states recorded at each chunk start.
 
 Output: a trial is the same for every chunk size, and the same as drawing
 the whole codebook with rng.integers (layered-ps) or rng.choice (classical)
@@ -154,59 +166,140 @@ def _union_bound(t_hat, n, r_c):
 
 def run(cfg):
     """Run cfg.trials independent trials in the configured mode."""
-    nx = len(cfg.p_x.alphabet)
-    n_c, n_u, n_v = cfg.codebook_sizes()
-    realized_r_c = math.log2(n_c) / cfg.n
-    realized_r_tx = math.log2(n_u) / cfg.n
-    logq = cfg.q.log2_q()
-    spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
-    rows = max(1, _CHUNK_CELLS // cfg.n)
-    starts = range(0, n_c, rows)
-    cb = np.empty((n_c, cfg.n), dtype=np.min_scalar_type(nx - 1))
-    scores = np.empty(n_c)
-    if cfg.mode == "classical":
-        guide, uniforms = _iid_guide(cfg.p_x.probs), np.empty(min(rows, n_c) * cfg.n)
-    records = []
-    for t in range(cfg.trials):
-        rng = np.random.default_rng([cfg.rng_seed, t])
-        for lo in starts:
-            chunk = cb[lo:lo + rows]
-            if cfg.mode == "layered-ps":
-                _draw_uniform(rng, nx, chunk.reshape(-1))
-            else:
-                chunk[...] = _draw_iid(rng, guide, uniforms[:chunk.size]).reshape(chunk.shape)
-        u = int(rng.integers(n_u))
+    book = _Codebook(cfg)
+    records = [book.trial(np.random.default_rng([cfg.rng_seed, t])) for t in range(cfg.trials)]
+    realized_r_tx = math.log2(book.n_u) / cfg.n
+    return _summarize(cfg, records, book.r_c, realized_r_tx, book.n_c, book.n_u)
+
+
+class _Codebook:
+    """The chunked codebook draw of one run and the buffers its trials reuse."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.nx = nx = len(cfg.p_x.alphabet)
+        self.n_c, self.n_u, self.n_v = cfg.codebook_sizes()
+        self.r_c = math.log2(self.n_c) / cfg.n
+        self.rows = max(1, _CHUNK_CELLS // cfg.n)
+        self.chunk = np.empty((min(self.rows, self.n_c), cfg.n), dtype=np.min_scalar_type(nx - 1))
+        self.scores = np.empty(len(self.chunk))
+        self.logq = cfg.q.log2_q()
+        self.spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
+        # PCG64 words per cell when none is rejected: one 32-bit word per
+        # integers cell, none for a single symbol; one 64-bit word per uniform
         if cfg.mode == "layered-ps":
-            block = cb[u * n_v:(u + 1) * n_v]
-            v = 0
-            failed = True
-            for k in range(n_v):
-                counts = np.bincount(block[k], minlength=nx)
-                if is_typical_counts(counts, spec):
-                    v = k
-                    failed = False
-                    break
-            w = u * n_v + v
+            self.words, self.half = int(nx > 1), True
         else:
-            failed = False
-            w = u
-        x = cb[w]
-        y = sample_channel_outputs(cfg.ch, x, rng)
-        table = np.ascontiguousarray(logq[:, y].T)
-        for lo in starts:
-            _score_rows(table, cb[lo:lo + rows], scores[lo:lo + rows])
-        best = scores.max()
-        winners = np.flatnonzero(scores == best)
-        w_hat = int(winners[0])
-        w_error = not (winners.size == 1 and w_hat == w)
+            self.guide, self.uniforms = _iid_guide(cfg.p_x.probs), np.empty(self.chunk.size)
+            self.words, self.half = 1, False
+        self.spare = np.random.Generator(np.random.PCG64(0))
+
+    def draw(self, rng, rows):
+        """The next `rows` codebook rows from rng, in the chunk buffer."""
+        out = self.chunk[:rows]
+        if self.cfg.mode == "layered-ps":
+            _draw_uniform(rng, self.nx, out.reshape(-1))
+        else:
+            out.reshape(-1)[:] = _draw_iid(rng, self.guide, self.uniforms[:out.size])
+        return out
+
+    def trial(self, rng):
+        """TrialRecord of the trial whose stream starts at rng's state."""
+        start = rng.bit_generator.state
+        cells = self.cfg.n * self.words
+
+        def seek(row):
+            _seek(self.spare.bit_generator, start, row * cells, self.half)
+
+        record, states = self._trial(rng, seek)
+        if record is None:
+            # a word was rejected, so the seek missed u and block u
+            rng.bit_generator.state = start
+
+            def replay(row):
+                i = row // self.rows
+                self.spare.bit_generator.state = states[i]
+                self.draw(self.spare, row - i * self.rows)
+
+            record, _ = self._trial(rng, replay)
+        return record
+
+    def _trial(self, rng, position):
+        """(record, states): one trial, with position(row) setting the spare
+        generator to where the codebook draw from rng reaches that row.
+        states are the draw's state at each chunk start and at its end; the
+        record is None when that end is not where position(n_c) put it."""
+        cfg, n_v = self.cfg, self.n_v
+        gen = self.spare
+        position(self.n_c)
+        end = gen.bit_generator.state
+        u = int(gen.integers(self.n_u))
+        after_u = gen.bit_generator.state
+        position(u * n_v)
+        failed, v, x = self._encode(gen)
+        gen.bit_generator.state = after_u
+        y = sample_channel_outputs(cfg.ch, x, gen)
+        table = np.ascontiguousarray(self.logq[:, y].T)
+        # the running max, the first index reaching it and its count; all
+        # -inf scores tie at index 0
+        states, best, w_hat, ties = [], -math.inf, 0, 0
+        for lo in range(0, self.n_c, self.rows):
+            states.append(rng.bit_generator.state)
+            chunk = self.draw(rng, min(self.rows, self.n_c - lo))
+            scores = self.scores[:len(chunk)]
+            _score_rows(table, chunk, scores)
+            top = scores.max()
+            if top > best:
+                hits = scores == top
+                best, w_hat, ties = top, lo + int(hits.argmax()), int(np.count_nonzero(hits))
+            elif top == best:
+                ties += int(np.count_nonzero(scores == top))
+        states.append(rng.bit_generator.state)
+        if states[-1] != end:
+            return None, states
+        w_error = not (ties == 1 and w_hat == u * n_v + v)
         u_error = (w_hat // n_v) != u
         # x and y hold indices; the empirical rates look symbols up
         pair = SequencePair([cfg.ch.input.symbols[i] for i in x.tolist()],
                             [cfg.ch.output.symbols[j] for j in y.tolist()])
         t_hat = empirical_code_rate(pair, cfg.q)
-        bound = _union_bound(t_hat, cfg.n, realized_r_c)
-        records.append(TrialRecord(failed, w_error, u_error, t_hat, bound))
-    return _summarize(cfg, records, realized_r_c, realized_r_tx, n_c, n_u)
+        bound = _union_bound(t_hat, cfg.n, self.r_c)
+        return TrialRecord(failed, w_error, u_error, t_hat, bound), states
+
+    def _encode(self, gen):
+        """(failed, v, x): the first typical row v of block u, drawn from
+        gen, as x, or failed with v = 0 when there is none. A classical
+        block is its one row, taken as it is."""
+        if self.cfg.mode == "classical":
+            return False, 0, self.draw(gen, 1)[0].copy()
+        first, v, take = None, 0, 1
+        while v < self.n_v:
+            # the scan mostly stops early, so the pieces start small
+            for row in self.draw(gen, min(take, self.n_v - v)):
+                if is_typical_counts(np.bincount(row, minlength=self.nx), self.spec):
+                    return False, v, row.copy()
+                if first is None:
+                    first = row.copy()
+                v += 1
+            take = min(2 * take, len(self.chunk))
+        return True, 0, first
+
+
+def _seek(bg, start, words, half):
+    """Set bg to the state start, which has no half pending, advanced by
+    `words` draws of PCG64: 32-bit words as next_uint32 takes them when half,
+    else 64-bit outputs. bg.state is then the state those draws leave."""
+    bg.state = start
+    if not (half and words):
+        bg.advance(words)
+        return
+    # next_uint32 serves an output's low half, then its high half; the last
+    # output it touched keeps its high half in uinteger, pending if unused
+    bg.advance((words - 1) // 2)
+    high = int(bg.random_raw()) >> 32
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = words % 2, high
+    bg.state = state
 
 
 def _draw_uniform(rng, nx, out):

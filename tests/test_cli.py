@@ -266,6 +266,22 @@ class TestSimulateCommand:
         assert lines[1] == "trial,encoding_failed,w_error,u_error,t_hat,union_bound"
         assert len(lines) == 22
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_per_trial_csv_exits_2(self, tmp_path, where):
+        # checked before the run: no result on stdout, and no traceback
+        path = tmp_path / "nosuch" / "x.csv" if where == "missing-dir" else tmp_path
+        src = pathlib.Path(__file__).parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "psrates.cli", *self.ARGS, "--per-trial-csv", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: --per-trial-csv: cannot write {str(path)!r} (")
+
     def test_nan_tolerance_rejected(self, capsys):
         args = [a if a != "0.25" else "nan" for a in self.ARGS]
         code, out, err = run_cli(capsys, *args)

@@ -7,6 +7,7 @@ import pytest
 from psrates import (
     Alphabet,
     Dmc,
+    Metric,
     Pmf,
     SequencePair,
     SimConfig,
@@ -329,33 +330,132 @@ class TestStreamedCodebook:
         for t, rec in enumerate(res.per_trial):
             assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
 
-    def test_codebook_memory_bounded(self):
-        # the module docstring's promise: the uint8 codebook (n_c * n bytes),
-        # one float64 score per codeword and up to about 24 bytes per chunk cell
-        cfg = layered_config(n=18, r_c=1.0, r_tx=0.5, trials=2)
-        n_c, _, _ = cfg.codebook_sizes()
+    @staticmethod
+    def _peak(cfg):
         tracemalloc.start()
         try:
             run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n_c * cfg.n + 8 * n_c + 24 * simulator._CHUNK_CELLS
+
+    def _assert_flat(self, small, big):
+        # the module docstring's promise: chunk temporaries of up to about
+        # 24 bytes per cell, O(n) per trial and one recorded generator state
+        # per chunk, whatever the codebook size
+        n = big.n
+        n_small, n_big = small.codebook_sizes()[0], big.codebook_sizes()[0]
+        assert n_big >= 16 * n_small and small.n == n
+        peaks = [self._peak(small), self._peak(big)]
+        for peak in peaks:
+            assert peak < 24 * simulator._CHUNK_CELLS + 1024 * n, peaks
+        # the codebook grew by about 4.5 MB, the peak only by the recorded
+        # states, about 1 KB each
+        chunks = -(-n_big // (simulator._CHUNK_CELLS // n))
+        assert peaks[1] < peaks[0] + 2048 * chunks, peaks
+
+    def test_codebook_memory_bounded(self):
+        # both codebooks fill at least one chunk of 2^18 // 18 rows
+        self._assert_flat(layered_config(n=18, r_c=14 / 18, r_tx=0.5, trials=2),
+                          layered_config(n=18, r_c=1.0, r_tx=0.5, trials=2))
 
     def test_classical_codebook_memory_bounded(self):
         # the same promise for the draw from P_X, whose temporaries differ
         ch = bsc(0.05)
         p = Pmf(ch.input, np.array([0.7, 0.3]))
-        cfg = layered_config(p_x=p, q=posterior_metric(p, ch), mode="classical",
-                             n=18, r_c=1.0, r_tx=1.0, trials=2)
-        n_c, _, _ = cfg.codebook_sizes()
-        tracemalloc.start()
-        try:
-            run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n_c * cfg.n + 8 * n_c + 24 * simulator._CHUNK_CELLS
+        small, big = (layered_config(p_x=p, q=posterior_metric(p, ch), mode="classical",
+                                     n=18, r_c=r_c, r_tx=r_c, trials=2) for r_c in (14 / 18, 1.0))
+        self._assert_flat(small, big)
+
+    @pytest.mark.parametrize("mode", ["layered-ps", "classical"])
+    def test_ties_at_minus_infinity(self, monkeypatch, mode):
+        # q vanishes wherever P_X W is positive: the codebook never holds
+        # symbol 2 (classical) or the metric needs all positions at 2, so
+        # every score is -inf and all codewords tie (layered-ps may meet a
+        # finite score, and the one-shot decoder decides)
+        w = np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]])
+        ch = Dmc(Alphabet((0, 1, 2)), Alphabet((0, 1)), w)
+        p = Pmf(ch.input, np.array([0.6, 0.4, 0.0]))
+        q = Metric(ch.input, ch.output, np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+        cfg = layered_config(p_x=p, ch=ch, q=q, mode=mode, n=10, r_c=1.0,
+                             r_tx=1.0 if mode == "classical" else 0.5, eps_typ=0.5, trials=4)
+        default = run(cfg)
+        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 1)
+        assert run(cfg) == default
+        for t, rec in enumerate(default.per_trial):
+            assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
+            assert rec.t_hat == -math.inf and rec.union_bound == 1.0
+        if mode == "classical":
+            assert all(rec.w_error for rec in default.per_trial)
+
+
+def _one_symbol_per_row(nx, mode, probs=None):
+    """A run of n = 1, so that a codebook row is one cell, on a |X| = nx
+    input alphabet."""
+    ch = Dmc(Alphabet(tuple(range(nx))), Alphabet((0, 1)), np.full((nx, 2), 0.5))
+    p = uniform_pmf(ch.input) if probs is None else Pmf(ch.input, probs)
+    return layered_config(p_x=p, ch=ch, q=likelihood_metric(ch), mode=mode, n=1,
+                          r_c=6.0, r_tx=6.0 if mode == "classical" else 3.0,
+                          eps_typ=1.0, trials=1)
+
+
+class TestStreamPosition:
+    # u and block u are drawn from a generator moved with PCG64.advance to
+    # where the chunked draw would reach; the run checks that at each
+    # trial's end and redoes the trial from the recorded states if not.
+    @pytest.mark.parametrize("mode, nx", [
+        ("layered-ps", 1), ("layered-ps", 2), ("layered-ps", 4), ("layered-ps", 256),
+        ("layered-ps", 3), ("classical", 2), ("classical", 4), ("classical", 257)])
+    def test_seek_is_the_serial_draw(self, mode, nx):
+        probs = None if mode == "layered-ps" else np.random.default_rng(nx).dirichlet(np.ones(nx))
+        book = simulator._Codebook(_one_symbol_per_row(nx, mode, probs))
+        start = np.random.default_rng([11, nx]).bit_generator.state
+        words = np.random.PCG64()
+        words.state = start
+        # Generator.integers rejects a 32-bit word w when w * nx mod 2^32 is
+        # below 2^32 mod nx; only word 0 for nx = 3
+        stream = words.random_raw(32).view("<u4").astype(np.uint64)
+        rejected = (stream * nx) % 2 ** 32 < 2 ** 32 % nx
+        checked = 0
+        for cells in range(41):  # both parities of the word count
+            if book.half and rejected[:cells * book.words].any():
+                continue
+            for piece in (1, 3, 8):  # chunk boundaries at every piece
+                rng = np.random.default_rng()
+                rng.bit_generator.state = start
+                for lo in range(0, cells, piece):
+                    book.draw(rng, min(piece, cells - lo))
+                seeked = np.random.PCG64()
+                simulator._seek(seeked, start, cells * book.words, book.half)
+                assert seeked.state == rng.bit_generator.state, (cells, piece)
+                checked += 1
+        assert checked == 41 * 3
+
+    @pytest.mark.parametrize("case", ["layered-nx2", "layered-nx3", "classical-shaped",
+                                      "noiseless-ties"])
+    def test_misplaced_seek_redoes_the_trial(self, monkeypatch, case):
+        cfg = _streamed_cases()[case]
+        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
+        honest = run(cfg)
+        seek, trials = simulator._seek, []
+
+        def off_by_one(bg, start, words, half):
+            seek(bg, start, words + 1, half)
+
+        def counted(book, rng, position):
+            record, states = trial(book, rng, position)
+            trials.append(record is not None)
+            return record, states
+
+        trial = simulator._Codebook._trial
+        monkeypatch.setattr(simulator, "_seek", off_by_one)
+        monkeypatch.setattr(simulator._Codebook, "_trial", counted)
+        redone = run(cfg)
+        # every trial fails its end check once, then completes from the states
+        assert trials == [False, True] * cfg.trials
+        assert redone == honest
+        for t, rec in enumerate(redone.per_trial):
+            assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
 
 
 # The draw and the scorer reproduce numpy's own Generator.integers and row
