@@ -77,9 +77,7 @@ def awgn_quantized(constellation, noise_sigma, grid=GridSpec()):
     masses are folded into the edge cells so every row sums to one. The CDF
     at each edge is 0.5 * (1 + math.erf(t)) with t = (edge - point) / sigma /
     sqrt(2), computed elementwise, so a value does not depend on how the grid
-    is batched. erf is called only where |t| < 6: beyond, erfc(|t|) is below
-    half an ulp of 1, so erf(t) rounds to exactly sign(t), which is written
-    without the call.
+    is batched.
     """
     if constellation.signal_points is None:
         raise ValueError("constellation must carry signal points")
@@ -95,10 +93,7 @@ def awgn_quantized(constellation, noise_sigma, grid=GridSpec()):
     t = edges - pts[:, None]
     t /= noise_sigma
     t /= math.sqrt(2)
-    inner = (-6 < t) & (t < 6)
-    erf = np.fromiter(map(math.erf, t[inner].flat), float, np.count_nonzero(inner))
-    cdf = np.sign(t, out=t)
-    cdf[inner] = erf
+    cdf = np.fromiter(map(math.erf, t.flat), float, t.size).reshape(t.shape)
     cdf += 1
     cdf *= 0.5
     w = np.diff(cdf, axis=1)

@@ -244,17 +244,14 @@ def cmd_simulate(args):
         eps_typ=args.eps_typ, trials=args.trials, rng_seed=_seed(args),
         mode=args.mode,
     )
-    csv = None
     if args.per_trial_csv:
-        # opened first, so that a path that cannot be written costs no run
-        try:
-            csv = open(args.per_trial_csv, "w")
-        except OSError as e:
-            raise CliError(f"--per-trial-csv: cannot write {args.per_trial_csv!r} ({e.strerror})")
+        # checked first, so that a path that cannot be written costs no run;
+        # "a" leaves a file that is there intact until the run has succeeded
+        _open_csv(args.per_trial_csv, "a").close()
     result = simulator.run(cfg)
     _emit_json(result.to_json_dict())
-    if csv:
-        with csv as fh:
+    if args.per_trial_csv:
+        with _open_csv(args.per_trial_csv, "w") as fh:
             fh.write("# schema: psrates.simulate.per-trial.v1\n")
             fh.write("trial,encoding_failed,w_error,u_error,t_hat,union_bound\n")
             for i, rec in enumerate(result.per_trial):
@@ -262,6 +259,13 @@ def cmd_simulate(args):
                     f"{i},{int(rec.encoding_failed)},{int(rec.w_error)},"
                     f"{int(rec.u_error)},{_fmt(rec.t_hat)},{_fmt(rec.union_bound)}\n"
                 )
+
+
+def _open_csv(path, mode):
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise CliError(f"--per-trial-csv: cannot write {path!r} ({e.strerror})")
 
 
 def cmd_estimate_tc(args):

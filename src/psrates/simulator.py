@@ -13,17 +13,20 @@ first index that reaches it and how many scores equal it, which is the whole
 codebook's max / flatnonzero rule. A chunk's temporaries take up to about 24
 bytes per cell; the classical draw takes about 19: a reused float64 uniform,
 its intp bucket index, the 1- or 2-byte drawn index and a bool mask. Beyond
-that a trial holds O(n) and one recorded generator state (about 1 KB) per
-chunk.
+that a trial holds O(n) and, where it lists the rejected words below, about
+(2^32 mod |X|) n_c n / 2^32 indices; listing them reads _CHUNK_CELLS words
+at a time, 5 bytes per cell with their mask.
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare
 PCG64 moved there with advance (_seek): a layered-ps cell takes one 32-bit
 word, none when |X| = 1, and a classical cell one 64-bit word. When |X| is
-not a power of two, Generator.integers rejects a word and draws another with
-probability (2^32 mod |X|) / 2^32. The scoring pass then ends at another
-state than the seek gave; the trial is redone with the spare generator
-positioned from the states recorded at each chunk start.
+not a power of two, Generator.integers rejects a word and takes the next
+with probability (2^32 mod |X|) / 2^32, so the seek must skip the rejected
+words. Where a draw is expected to reject more than _COUNT_FIRST words, each
+trial first lists them from the raw words (_rejected_words); elsewhere it
+assumes none. The scoring pass checks that the codebook draw ends where the
+seek put it; if not, the trial lists the rejected words and runs again.
 
 Output: a trial is the same for every chunk size, and the same as drawing
 the whole codebook with rng.integers (layered-ps) or rng.choice (classical)
@@ -41,6 +44,7 @@ bit-equal; two codewords with equal metric products but different symbol
 orders can differ in the last bit, and then the rounding picks the winner.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +65,12 @@ FEASIBILITY_CAP = 22
 
 # Cells per chunk of the codebook draw and of decode scoring.
 _CHUNK_CELLS = 1 << 18
+
+# Expected rejected words per codebook draw above which a trial counts them
+# before it seeks. Counting takes about a quarter of the time of drawing and
+# scoring; a rejection that was not counted makes the trial count and run
+# again, which happens to 1 - e^-0.25 = 22 % of the trials at this value.
+_COUNT_FIRST = 0.25
 
 
 @dataclass(frozen=True)
@@ -189,9 +199,11 @@ class _Codebook:
         # integers cell, none for a single symbol; one 64-bit word per uniform
         if cfg.mode == "layered-ps":
             self.words, self.half = int(nx > 1), True
+            expected = (1 << 32) % nx * self.n_c * cfg.n / 2 ** 32
+            self.count_first = expected > _COUNT_FIRST
         else:
             self.guide, self.uniforms = _iid_guide(cfg.p_x.probs), np.empty(self.chunk.size)
-            self.words, self.half = 1, False
+            self.words, self.half, self.count_first = 1, False, False
         self.spare = np.random.Generator(np.random.PCG64(0))
 
     def draw(self, rng, rows):
@@ -206,31 +218,33 @@ class _Codebook:
     def trial(self, rng):
         """TrialRecord of the trial whose stream starts at rng's state."""
         start = rng.bit_generator.state
-        cells = self.cfg.n * self.words
-
-        def seek(row):
-            _seek(self.spare.bit_generator, start, row * cells, self.half)
-
-        record, states = self._trial(rng, seek)
+        record = self._trial(rng, start, self._rejected(start) if self.count_first else [])
         if record is None:
-            # a word was rejected, so the seek missed u and block u
+            # integers rejected a word that was not counted
             rng.bit_generator.state = start
-
-            def replay(row):
-                i = row // self.rows
-                self.spare.bit_generator.state = states[i]
-                self.draw(self.spare, row - i * self.rows)
-
-            record, _ = self._trial(rng, replay)
+            record = self._trial(rng, start, self._rejected(start))
+            assert record is not None, "the counted seek missed the draw's end"
         return record
 
-    def _trial(self, rng, position):
-        """(record, states): one trial, with position(row) setting the spare
-        generator to where the codebook draw from rng reaches that row.
-        states are the draw's state at each chunk start and at its end; the
-        record is None when that end is not where position(n_c) put it."""
+    def _rejected(self, start):
+        """Sorted indices of the 32-bit words that the codebook draw from
+        start rejects."""
+        if self.cfg.mode == "classical":
+            return []
+        return _rejected_words(self.spare.bit_generator, start, self.nx, self.n_c * self.cfg.n)
+
+    def _trial(self, rng, start, rejected):
+        """One trial from rng at the state start, with u and block u drawn
+        from the spare generator seeked past the words at the indices
+        rejected; None when the codebook draw from rng does not end where
+        that seek puts it."""
         cfg, n_v = self.cfg, self.n_v
         gen = self.spare
+        cells = cfg.n * self.words
+
+        def position(row):
+            _seek(gen.bit_generator, start, _word_offset(row * cells, rejected), self.half)
+
         position(self.n_c)
         end = gen.bit_generator.state
         u = int(gen.integers(self.n_u))
@@ -242,9 +256,8 @@ class _Codebook:
         table = np.ascontiguousarray(self.logq[:, y].T)
         # the running max, the first index reaching it and its count; all
         # -inf scores tie at index 0
-        states, best, w_hat, ties = [], -math.inf, 0, 0
+        best, w_hat, ties = -math.inf, 0, 0
         for lo in range(0, self.n_c, self.rows):
-            states.append(rng.bit_generator.state)
             chunk = self.draw(rng, min(self.rows, self.n_c - lo))
             scores = self.scores[:len(chunk)]
             _score_rows(table, chunk, scores)
@@ -254,9 +267,8 @@ class _Codebook:
                 best, w_hat, ties = top, lo + int(hits.argmax()), int(np.count_nonzero(hits))
             elif top == best:
                 ties += int(np.count_nonzero(scores == top))
-        states.append(rng.bit_generator.state)
-        if states[-1] != end:
-            return None, states
+        if rng.bit_generator.state != end:
+            return None
         w_error = not (ties == 1 and w_hat == u * n_v + v)
         u_error = (w_hat // n_v) != u
         # x and y hold indices; the empirical rates look symbols up
@@ -264,7 +276,7 @@ class _Codebook:
                             [cfg.ch.output.symbols[j] for j in y.tolist()])
         t_hat = empirical_code_rate(pair, cfg.q)
         bound = _union_bound(t_hat, cfg.n, self.r_c)
-        return TrialRecord(failed, w_error, u_error, t_hat, bound), states
+        return TrialRecord(failed, w_error, u_error, t_hat, bound)
 
     def _encode(self, gen):
         """(failed, v, x): the first typical row v of block u, drawn from
@@ -300,6 +312,31 @@ def _seek(bg, start, words, half):
     state = bg.state
     state["has_uint32"], state["uinteger"] = words % 2, high
     bg.state = state
+
+
+def _rejected_words(bg, start, nx, cells):
+    """Sorted indices, in the 32-bit word stream of bg from the state start
+    (no half pending), of the words that rng.integers(nx) rejects while it
+    draws `cells` cells: those w with w * nx mod 2^32 below 2^32 mod nx.
+    Indices past the draw's last word may follow."""
+    below = np.uint32((1 << 32) % nx)
+    bg.state = start
+    found, scanned = [], 0
+    while below and scanned - len(found) < cells:
+        words = bg.random_raw(max(1, _CHUNK_CELLS // 2)).astype("<u8", copy=False).view("<u4")
+        np.multiply(words, np.uint32(nx), out=words)
+        found += (scanned + np.flatnonzero(words < below)).tolist()
+        scanned += words.size
+    return found
+
+
+def _word_offset(cells, rejected):
+    """Words that the first `cells` cells take when the words at the sorted
+    indices rejected are skipped."""
+    words = cells
+    while (skipped := bisect.bisect_left(rejected, words)) != words - cells:
+        words = cells + skipped
+    return words
 
 
 def _draw_uniform(rng, nx, out):

@@ -282,6 +282,19 @@ class TestSimulateCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: --per-trial-csv: cannot write {str(path)!r} (")
 
+    def test_failed_run_keeps_existing_per_trial_csv(self, tmp_path, monkeypatch):
+        # the path is checked without emptying it; it is written after the run
+        path = tmp_path / "old.csv"
+        path.write_text("kept\n")
+
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("psrates.simulator.run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main([*self.ARGS, "--per-trial-csv", str(path)])
+        assert path.read_text() == "kept\n"
+
     def test_nan_tolerance_rejected(self, capsys):
         args = [a if a != "0.25" else "nan" for a in self.ARGS]
         code, out, err = run_cli(capsys, *args)

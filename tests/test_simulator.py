@@ -256,7 +256,7 @@ class TestClassical:
 
 def _one_shot_trial(cfg, t):
     """Trial t replayed with the whole codebook drawn and scored at once:
-    (encoding_failed, w_error, u_error)."""
+    (encoding_failed, w_error, u_error, t_hat)."""
     nx = len(cfg.p_x.alphabet)
     n_c, n_u, n_v = cfg.codebook_sizes()
     rng = np.random.default_rng([cfg.rng_seed, t])
@@ -277,7 +277,13 @@ def _one_shot_trial(cfg, t):
     scores = cfg.q.log2_q()[cb, y[None, :]].sum(axis=1)
     winners = np.flatnonzero(scores == scores.max())
     w_error = not (winners.size == 1 and winners[0] == w)
-    return failed, w_error, (winners[0] // n_v) != u
+    pair = SequencePair([cfg.ch.input.symbols[i] for i in cb[w]],
+                        [cfg.ch.output.symbols[j] for j in y])
+    return failed, w_error, (winners[0] // n_v) != u, empirical_code_rate(pair, cfg.q)
+
+
+def _outcome(rec):
+    return rec.encoding_failed, rec.w_error, rec.u_error, rec.t_hat
 
 
 def _streamed_cases():
@@ -328,7 +334,7 @@ class TestStreamedCodebook:
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
         res = run(cfg)
         for t, rec in enumerate(res.per_trial):
-            assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
+            assert _outcome(rec) == _one_shot_trial(cfg, t)
 
     @staticmethod
     def _peak(cfg):
@@ -383,7 +389,7 @@ class TestStreamedCodebook:
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", 1)
         assert run(cfg) == default
         for t, rec in enumerate(default.per_trial):
-            assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
+            assert _outcome(rec) == _one_shot_trial(cfg, t)
             assert rec.t_hat == -math.inf and rec.union_bound == 1.0
         if mode == "classical":
             assert all(rec.w_error for rec in default.per_trial)
@@ -401,8 +407,9 @@ def _one_symbol_per_row(nx, mode, probs=None):
 
 class TestStreamPosition:
     # u and block u are drawn from a generator moved with PCG64.advance to
-    # where the chunked draw would reach; the run checks that at each
-    # trial's end and redoes the trial from the recorded states if not.
+    # where the chunked draw would reach, past the words that
+    # Generator.integers rejects when those were counted; the run checks
+    # that at each trial's end and counts and redoes the trial if not.
     @pytest.mark.parametrize("mode, nx", [
         ("layered-ps", 1), ("layered-ps", 2), ("layered-ps", 4), ("layered-ps", 256),
         ("layered-ps", 3), ("classical", 2), ("classical", 4), ("classical", 257)])
@@ -410,16 +417,7 @@ class TestStreamPosition:
         probs = None if mode == "layered-ps" else np.random.default_rng(nx).dirichlet(np.ones(nx))
         book = simulator._Codebook(_one_symbol_per_row(nx, mode, probs))
         start = np.random.default_rng([11, nx]).bit_generator.state
-        words = np.random.PCG64()
-        words.state = start
-        # Generator.integers rejects a 32-bit word w when w * nx mod 2^32 is
-        # below 2^32 mod nx; only word 0 for nx = 3
-        stream = words.random_raw(32).view("<u4").astype(np.uint64)
-        rejected = (stream * nx) % 2 ** 32 < 2 ** 32 % nx
-        checked = 0
         for cells in range(41):  # both parities of the word count
-            if book.half and rejected[:cells * book.words].any():
-                continue
             for piece in (1, 3, 8):  # chunk boundaries at every piece
                 rng = np.random.default_rng()
                 rng.bit_generator.state = start
@@ -428,34 +426,99 @@ class TestStreamPosition:
                 seeked = np.random.PCG64()
                 simulator._seek(seeked, start, cells * book.words, book.half)
                 assert seeked.state == rng.bit_generator.state, (cells, piece)
-                checked += 1
-        assert checked == 41 * 3
+
+    # 2^31 + 1 rejects about half of all 32-bit words, 3 * 2^30 a quarter,
+    # 3 and 100 almost none
+    @pytest.mark.parametrize("nx", [3, 100, 2 ** 31 + 1, 3 * 2 ** 30])
+    def test_counted_seek_is_the_serial_draw(self, monkeypatch, nx):
+        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 16)  # 16 words per batch
+        start = np.random.default_rng([12, nx]).bit_generator.state
+        rejected = simulator._rejected_words(np.random.PCG64(), start, nx, 200)
+        stream = np.random.PCG64()
+        stream.state = start
+        words = stream.random_raw(300).view("<u4").astype(np.uint64)
+        expected = np.flatnonzero((words * nx) % 2 ** 32 < 2 ** 32 % nx)
+        # every rejection up to the end of the batch that completes 200 cells
+        assert rejected == expected[:len(rejected)].tolist()
+        if nx > 2 ** 31:
+            assert len(rejected) > 40
+        for cells in range(201):
+            for piece in (1, 3, 64):
+                rng = np.random.default_rng()
+                rng.bit_generator.state = start
+                for lo in range(0, cells, piece):
+                    simulator._draw_uniform(rng, nx, np.empty(min(piece, cells - lo), np.uint64))
+                seeked = np.random.PCG64()
+                simulator._seek(seeked, start, simulator._word_offset(cells, rejected), True)
+                assert seeked.state == rng.bit_generator.state, (cells, piece)
+
+    def test_counts_first_where_many_words_are_rejected(self):
+        # 2^32 mod 100 = 96: about 2 rejected words in 2^22 * 22 draws;
+        # 2^32 mod 3 = 1: about 2e-2
+        def book(nx, mode="layered-ps"):
+            ch = mary_symmetric(nx, 0.1)
+            return simulator._Codebook(layered_config(
+                ch=ch, p_x=uniform_pmf(ch.input), q=likelihood_metric(ch), mode=mode,
+                n=22, r_c=1.0, r_tx=1.0, eps_typ=1.0, trials=1))
+        assert book(100).count_first
+        assert not book(3).count_first
+        assert not book(100, "classical").count_first
+
+    @pytest.mark.parametrize("case", sorted(_streamed_cases()))
+    def test_counting_first_does_not_change_result(self, monkeypatch, case):
+        cfg = _streamed_cases()[case]
+        default = run(cfg)
+        monkeypatch.setattr(simulator, "_COUNT_FIRST", -1.0)
+        assert simulator._Codebook(cfg).count_first == (cfg.mode == "layered-ps")
+        assert run(cfg) == default
+
+    def test_rejected_word_in_the_codebook_draw(self, monkeypatch):
+        # integers(100) rejects word 1115 of the 2048 that trial 0 draws at
+        # this seed; small chunks make the count read many batches
+        ch = mary_symmetric(100, 0.1)
+        cfg = layered_config(ch=ch, p_x=uniform_pmf(ch.input), q=likelihood_metric(ch),
+                             n=2, r_c=5.0, r_tx=2.5, eps_typ=1.0, trials=2, rng_seed=124586)
+        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
+        trial, attempts = simulator._Codebook._trial, []
+
+        def counted(book, rng, start, rejected):
+            record = trial(book, rng, start, rejected)
+            attempts.append((rejected, record is not None))
+            return record
+
+        monkeypatch.setattr(simulator._Codebook, "_trial", counted)
+        res = run(cfg)
+        # trial 0 misses its end check without the count, then lists the word
+        assert [ok for _, ok in attempts] == [False, True, True]
+        assert attempts[0][0] == [] and attempts[1][0][0] == 1115
+        for t, rec in enumerate(res.per_trial):
+            assert _outcome(rec) == _one_shot_trial(cfg, t)
+        attempts.clear()
+        monkeypatch.setattr(simulator, "_COUNT_FIRST", -1.0)
+        assert run(cfg) == res
+        assert [ok for _, ok in attempts] == [True] * cfg.trials
 
     @pytest.mark.parametrize("case", ["layered-nx2", "layered-nx3", "classical-shaped",
                                       "noiseless-ties"])
-    def test_misplaced_seek_redoes_the_trial(self, monkeypatch, case):
+    def test_uncounted_rejection_redoes_the_trial(self, monkeypatch, case):
         cfg = _streamed_cases()[case]
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
         honest = run(cfg)
-        seek, trials = simulator._seek, []
+        trial, attempts = simulator._Codebook._trial, []
 
-        def off_by_one(bg, start, words, half):
-            seek(bg, start, words + 1, half)
+        def phantom_first(book, rng, start, rejected):
+            # each first attempt seeks past a word 0 that nothing rejected
+            record = trial(book, rng, start, [0] if len(attempts) % 2 == 0 else rejected)
+            attempts.append(record is not None)
+            return record
 
-        def counted(book, rng, position):
-            record, states = trial(book, rng, position)
-            trials.append(record is not None)
-            return record, states
-
-        trial = simulator._Codebook._trial
-        monkeypatch.setattr(simulator, "_seek", off_by_one)
-        monkeypatch.setattr(simulator._Codebook, "_trial", counted)
+        monkeypatch.setattr(simulator._Codebook, "_trial", phantom_first)
         redone = run(cfg)
-        # every trial fails its end check once, then completes from the states
-        assert trials == [False, True] * cfg.trials
+        # every trial fails its end check once, then completes as counted
+        assert attempts == [False, True] * cfg.trials
         assert redone == honest
         for t, rec in enumerate(redone.per_trial):
-            assert (rec.encoding_failed, rec.w_error, rec.u_error) == _one_shot_trial(cfg, t)
+            assert _outcome(rec) == _one_shot_trial(cfg, t)
 
 
 # The draw and the scorer reproduce numpy's own Generator.integers and row
