@@ -13,30 +13,27 @@ first index that reaches it and how many scores equal it, which is the whole
 codebook's max / flatnonzero rule. A chunk's temporaries take up to about 24
 bytes per cell; the classical draw takes about 19: a reused float64 uniform,
 its intp bucket index, the 1- or 2-byte drawn index and a bool mask. Beyond
-that a trial holds O(n) and, where it lists the rejected words below, about
-(2^32 mod |X|) n_c n / 2^32 indices; listing them reads _CHUNK_CELLS words
-at a time, 5 bytes per cell with their mask.
+that a trial holds O(n).
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare
 PCG64 moved there with advance (_seek): a layered-ps cell takes one 32-bit
-word, none when |X| = 1, and a classical cell one 64-bit word. When |X| is
-not a power of two, Generator.integers rejects a word and takes the next
-with probability (2^32 mod |X|) / 2^32, so the seek must skip the rejected
-words. Where a draw is expected to reject more than _COUNT_FIRST words, each
-trial first lists them from the raw words (_rejected_words); elsewhere it
-assumes none. The scoring pass checks that the codebook draw ends where the
-seek put it; if not, the trial lists the rejected words and runs again.
+word, none when |X| = 1, and a classical cell one 64-bit word, so the seek is
+exact. The scoring pass checks that the codebook draw ends where the seek put
+it, and raises if not.
 
 Output: a trial is the same for every chunk size, and the same as drawing
-the whole codebook with rng.integers (layered-ps) or rng.choice (classical)
-and scoring it with one row sum. For |X| a power of two the layered-ps draw
-shifts PCG64's 32-bit words as integers does, carrying the half of a 64-bit
-output that integers would leave pending. The classical draw takes the
-same rng.random uniforms as choice and maps them to choice's indices through
-a guide table over their leading 16 bits (empirical._draw_iid), built once
-per run. Each score adds its n terms in the order of numpy's pairwise row
-sum, so it is bit-equal to that sum.
+the whole codebook at once and scoring it with one row sum. The layered-ps
+draw maps each 32-bit word w of PCG64's stream to the symbol (w * |X|) >> 32,
+carrying the half of a 64-bit output that is left pending as
+Generator.integers does. This is Lemire's multiply-shift without its
+rejection step, so a symbol's probability differs from 1/|X| by less than
+2^-32, and by nothing when |X| is a power of two, where the draw equals
+rng.integers(|X|). The classical draw takes the same rng.random uniforms as
+rng.choice and maps them to choice's indices through a guide table over their
+leading 16 bits (empirical._draw_iid), built once per run. Each score adds
+its n terms in the order of numpy's pairwise row sum, so it is bit-equal to
+that sum.
 
 Decoder ties: the transmitted index counts as correctly decoded only when it
 is the unique maximizer. Ties are detected only when the float scores are
@@ -44,7 +41,6 @@ bit-equal; two codewords with equal metric products but different symbol
 orders can differ in the last bit, and then the rounding picks the winner.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -65,12 +61,6 @@ FEASIBILITY_CAP = 22
 
 # Cells per chunk of the codebook draw and of decode scoring.
 _CHUNK_CELLS = 1 << 18
-
-# Expected rejected words per codebook draw above which a trial counts them
-# before it seeks. Counting takes about a quarter of the time of drawing and
-# scoring; a rejection that was not counted makes the trial count and run
-# again, which happens to 1 - e^-0.25 = 22 % of the trials at this value.
-_COUNT_FIRST = 0.25
 
 
 @dataclass(frozen=True)
@@ -195,15 +185,13 @@ class _Codebook:
         self.scores = np.empty(len(self.chunk))
         self.logq = cfg.q.log2_q()
         self.spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
-        # PCG64 words per cell when none is rejected: one 32-bit word per
-        # integers cell, none for a single symbol; one 64-bit word per uniform
+        # PCG64 words per cell: one 32-bit word per layered-ps cell, none for
+        # a single symbol; one 64-bit word per classical uniform
         if cfg.mode == "layered-ps":
             self.words, self.half = int(nx > 1), True
-            expected = (1 << 32) % nx * self.n_c * cfg.n / 2 ** 32
-            self.count_first = expected > _COUNT_FIRST
         else:
             self.guide, self.uniforms = _iid_guide(cfg.p_x.probs), np.empty(self.chunk.size)
-            self.words, self.half, self.count_first = 1, False, False
+            self.words, self.half = 1, False
         self.spare = np.random.Generator(np.random.PCG64(0))
 
     def draw(self, rng, rows):
@@ -216,40 +204,17 @@ class _Codebook:
         return out
 
     def trial(self, rng):
-        """TrialRecord of the trial whose stream starts at rng's state."""
-        start = rng.bit_generator.state
-        record = self._trial(rng, start, self._rejected(start) if self.count_first else [])
-        if record is None:
-            # integers rejected a word that was not counted
-            rng.bit_generator.state = start
-            record = self._trial(rng, start, self._rejected(start))
-            assert record is not None, "the counted seek missed the draw's end"
-        return record
-
-    def _rejected(self, start):
-        """Sorted indices of the 32-bit words that the codebook draw from
-        start rejects."""
-        if self.cfg.mode == "classical":
-            return []
-        return _rejected_words(self.spare.bit_generator, start, self.nx, self.n_c * self.cfg.n)
-
-    def _trial(self, rng, start, rejected):
-        """One trial from rng at the state start, with u and block u drawn
-        from the spare generator seeked past the words at the indices
-        rejected; None when the codebook draw from rng does not end where
-        that seek puts it."""
+        """TrialRecord of the trial whose stream starts at rng's state, with
+        u and block u drawn from the spare generator seeked past the
+        codebook draw."""
         cfg, n_v = self.cfg, self.n_v
-        gen = self.spare
-        cells = cfg.n * self.words
-
-        def position(row):
-            _seek(gen.bit_generator, start, _word_offset(row * cells, rejected), self.half)
-
-        position(self.n_c)
+        gen, start = self.spare, rng.bit_generator.state
+        row_words = cfg.n * self.words
+        _seek(gen.bit_generator, start, self.n_c * row_words, self.half)
         end = gen.bit_generator.state
         u = int(gen.integers(self.n_u))
         after_u = gen.bit_generator.state
-        position(u * n_v)
+        _seek(gen.bit_generator, start, u * n_v * row_words, self.half)
         failed, v, x = self._encode(gen)
         gen.bit_generator.state = after_u
         y = sample_channel_outputs(cfg.ch, x, gen)
@@ -268,7 +233,7 @@ class _Codebook:
             elif top == best:
                 ties += int(np.count_nonzero(scores == top))
         if rng.bit_generator.state != end:
-            return None
+            raise RuntimeError("the codebook draw did not end where _seek placed u")
         w_error = not (ties == 1 and w_hat == u * n_v + v)
         u_error = (w_hat // n_v) != u
         # x and y hold indices; the empirical rates look symbols up
@@ -314,43 +279,19 @@ def _seek(bg, start, words, half):
     bg.state = state
 
 
-def _rejected_words(bg, start, nx, cells):
-    """Sorted indices, in the 32-bit word stream of bg from the state start
-    (no half pending), of the words that rng.integers(nx) rejects while it
-    draws `cells` cells: those w with w * nx mod 2^32 below 2^32 mod nx.
-    Indices past the draw's last word may follow."""
-    below = np.uint32((1 << 32) % nx)
-    bg.state = start
-    found, scanned = [], 0
-    while below and scanned - len(found) < cells:
-        words = bg.random_raw(max(1, _CHUNK_CELLS // 2)).astype("<u8", copy=False).view("<u4")
-        np.multiply(words, np.uint32(nx), out=words)
-        found += (scanned + np.flatnonzero(words < below)).tolist()
-        scanned += words.size
-    return found
-
-
-def _word_offset(cells, rejected):
-    """Words that the first `cells` cells take when the words at the sorted
-    indices rejected are skipped."""
-    words = cells
-    while (skipped := bisect.bisect_left(rejected, words)) != words - cells:
-        words = cells + skipped
-    return words
-
-
 def _draw_uniform(rng, nx, out):
-    """Fill the 1-D array out as rng.integers(nx, size=out.size) would, and
-    leave rng where it would.
+    """Fill the 1-D array out with the symbols (w * nx) >> 32 of the next
+    out.size 32-bit words w of rng's PCG64 stream, 2 <= nx <= 2^32, and
+    leave rng where next_uint32 would; zeros, and no word, when nx = 1.
 
-    For nx = 2^k >= 2, integers maps each 32-bit word w of the PCG64 stream
-    to (w * nx) >> 32 = w >> (32 - k) and rejects none, so the words are
-    shifted here directly. PCG64 serves each 64-bit output as its low half,
-    then its high half, and keeps an unused high half pending in its state
-    between calls. Other nx reject some words; those call integers itself.
+    PCG64 serves each 64-bit output as its low half, then its high half,
+    and keeps an unused high half pending in its state between calls. For
+    nx = 2^k the symbol is w >> (32 - k), what rng.integers(nx) returns;
+    other nx skip integers' rejection step, which a word meets with
+    probability (2^32 mod nx) / 2^32.
     """
-    if nx == 1 or nx & (nx - 1):
-        out[:] = rng.integers(nx, size=out.size)
+    if nx == 1:
+        out[:] = 0
         return
     bg = rng.bit_generator
     state = bg.state
@@ -361,7 +302,12 @@ def _draw_uniform(rng, nx, out):
         words = np.concatenate((np.array([last], dtype=np.uint32), words))
     if raw.size:
         last = int(raw[-1] >> np.uint64(32))
-    np.right_shift(words[:out.size], 33 - nx.bit_length(), out=out, casting="unsafe")
+    if nx & (nx - 1):
+        product = np.multiply(words[:out.size], nx, dtype=np.uint64)
+        np.right_shift(product, 32, out=out, casting="unsafe")
+    else:
+        # the same symbols as the product, in less time
+        np.right_shift(words[:out.size], 33 - nx.bit_length(), out=out, casting="unsafe")
     state = bg.state
     state["has_uint32"], state["uinteger"] = words.size - out.size, last
     bg.state = state

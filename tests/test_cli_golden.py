@@ -104,6 +104,12 @@ CASES = {
         "simulate", "--channel", "bsc:0.05", "--input", "uniform", "--metric", "likelihood",
         "--mode", "layered-ps", "--n", "12", "--rc", "0.75", "--rtx", "0.5",
         "--eps-typ", "0.25", "--trials", "6", "--seed", "3", "--per-trial-csv", "{csv}"),
+    # 2^32 mod 641 = 640: the layered-ps draw maps words that
+    # Generator.integers(641) would reject.
+    "simulate-layered-mary641": (
+        "simulate", "--channel", "mary:641,0.1", "--input", "uniform", "--metric", "likelihood",
+        "--mode", "layered-ps", "--n", "2", "--rc", "11", "--rtx", "5.5",
+        "--eps-typ", "1", "--trials", "2", "--seed", "1", "--per-trial-csv", "{csv}"),
     "simulate-classical": (
         "simulate", "--channel", "mary:4,0.05", "--input", "0.4,0.3,0.2,0.1",
         "--metric", "likelihood", "--mode", "classical", "--n", "6", "--rc", "1.5",

@@ -254,6 +254,14 @@ class TestClassical:
         assert "per_trial" not in d
 
 
+def _multiply_shift(rng, nx, shape):
+    """Uniform symbols of range(nx) from rng's 32-bit words w, as
+    (w * nx) >> 32; zeros, and no word, when nx = 1."""
+    if nx == 1:
+        return np.zeros(shape, dtype=np.uint64)
+    return (rng.integers(2 ** 32, size=shape, dtype=np.uint32).astype(np.uint64) * nx) >> 32
+
+
 def _one_shot_trial(cfg, t):
     """Trial t replayed with the whole codebook drawn and scored at once:
     (encoding_failed, w_error, u_error, t_hat)."""
@@ -261,7 +269,7 @@ def _one_shot_trial(cfg, t):
     n_c, n_u, n_v = cfg.codebook_sizes()
     rng = np.random.default_rng([cfg.rng_seed, t])
     if cfg.mode == "layered-ps":
-        cb = rng.integers(nx, size=(n_c, cfg.n))
+        cb = _multiply_shift(rng, nx, (n_c, cfg.n))
     else:
         cb = rng.choice(nx, size=(n_c, cfg.n), p=cfg.p_x.probs)
     u = int(rng.integers(n_u))
@@ -301,7 +309,7 @@ def _streamed_cases():
     return {
         **wide,
         "layered-nx2": layered_config(trials=6),
-        # rng.integers(3) rejects and redraws; the chunked stream must too
+        # |X| = 3 is not a power of two, so the draw multiplies each word
         "layered-nx3": layered_config(
             ch=ch3, p_x=uniform_pmf(ch3.input), q=likelihood_metric(ch3),
             n=10, r_c=1.2, r_tx=0.6, eps_typ=0.3, trials=6),
@@ -347,16 +355,15 @@ class TestStreamedCodebook:
 
     def _assert_flat(self, small, big):
         # the module docstring's promise: chunk temporaries of up to about
-        # 24 bytes per cell, O(n) per trial and one recorded generator state
-        # per chunk, whatever the codebook size
+        # 24 bytes per cell and O(n) per trial, whatever the codebook size
         n = big.n
         n_small, n_big = small.codebook_sizes()[0], big.codebook_sizes()[0]
         assert n_big >= 16 * n_small and small.n == n
         peaks = [self._peak(small), self._peak(big)]
         for peak in peaks:
             assert peak < 24 * simulator._CHUNK_CELLS + 1024 * n, peaks
-        # the codebook grew by about 4.5 MB, the peak only by the recorded
-        # states, about 1 KB each
+        # the codebook grew by about 4.5 MB, the peak by at most 2 KB per
+        # chunk
         chunks = -(-n_big // (simulator._CHUNK_CELLS // n))
         assert peaks[1] < peaks[0] + 2048 * chunks, peaks
 
@@ -407,9 +414,9 @@ def _one_symbol_per_row(nx, mode, probs=None):
 
 class TestStreamPosition:
     # u and block u are drawn from a generator moved with PCG64.advance to
-    # where the chunked draw would reach, past the words that
-    # Generator.integers rejects when those were counted; the run checks
-    # that at each trial's end and counts and redoes the trial if not.
+    # where the chunked draw would reach. Every cell takes the same number
+    # of words, so the seek is exact; each trial checks that at its end and
+    # raises if not.
     @pytest.mark.parametrize("mode, nx", [
         ("layered-ps", 1), ("layered-ps", 2), ("layered-ps", 4), ("layered-ps", 256),
         ("layered-ps", 3), ("classical", 2), ("classical", 4), ("classical", 257)])
@@ -427,21 +434,22 @@ class TestStreamPosition:
                 simulator._seek(seeked, start, cells * book.words, book.half)
                 assert seeked.state == rng.bit_generator.state, (cells, piece)
 
-    # 2^31 + 1 rejects about half of all 32-bit words, 3 * 2^30 a quarter,
-    # 3 and 100 almost none
+    # 2^31 + 1 would have integers(nx) reject about half of all 32-bit words,
+    # 3 * 2^30 a quarter, 3 and 100 almost none; the draw maps each of them,
+    # so the seek counts one word per cell whatever nx is
     @pytest.mark.parametrize("nx", [3, 100, 2 ** 31 + 1, 3 * 2 ** 30])
-    def test_counted_seek_is_the_serial_draw(self, monkeypatch, nx):
-        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 16)  # 16 words per batch
+    def test_counted_seek_is_the_serial_draw(self, nx):
         start = np.random.default_rng([12, nx]).bit_generator.state
-        rejected = simulator._rejected_words(np.random.PCG64(), start, nx, 200)
         stream = np.random.PCG64()
         stream.state = start
-        words = stream.random_raw(300).view("<u4").astype(np.uint64)
-        expected = np.flatnonzero((words * nx) % 2 ** 32 < 2 ** 32 % nx)
-        # every rejection up to the end of the batch that completes 200 cells
-        assert rejected == expected[:len(rejected)].tolist()
+        words = stream.random_raw(100).view("<u4").astype(np.uint64)
         if nx > 2 ** 31:
-            assert len(rejected) > 40
+            assert np.count_nonzero((words * nx) % 2 ** 32 < 2 ** 32 % nx) > 40
+        rng = np.random.default_rng()
+        rng.bit_generator.state = start
+        drawn = np.empty(words.size, np.uint64)
+        simulator._draw_uniform(rng, nx, drawn)
+        assert np.array_equal(drawn, (words * nx) >> np.uint64(32))
         for cells in range(201):
             for piece in (1, 3, 64):
                 rng = np.random.default_rng()
@@ -449,101 +457,72 @@ class TestStreamPosition:
                 for lo in range(0, cells, piece):
                     simulator._draw_uniform(rng, nx, np.empty(min(piece, cells - lo), np.uint64))
                 seeked = np.random.PCG64()
-                simulator._seek(seeked, start, simulator._word_offset(cells, rejected), True)
+                simulator._seek(seeked, start, cells, True)
                 assert seeked.state == rng.bit_generator.state, (cells, piece)
 
-    def test_counts_first_where_many_words_are_rejected(self):
-        # 2^32 mod 100 = 96: about 2 rejected words in 2^22 * 22 draws;
-        # 2^32 mod 3 = 1: about 2e-2
-        def book(nx, mode="layered-ps"):
-            ch = mary_symmetric(nx, 0.1)
-            return simulator._Codebook(layered_config(
-                ch=ch, p_x=uniform_pmf(ch.input), q=likelihood_metric(ch), mode=mode,
-                n=22, r_c=1.0, r_tx=1.0, eps_typ=1.0, trials=1))
-        assert book(100).count_first
-        assert not book(3).count_first
-        assert not book(100, "classical").count_first
-
-    @pytest.mark.parametrize("case", sorted(_streamed_cases()))
-    def test_counting_first_does_not_change_result(self, monkeypatch, case):
-        cfg = _streamed_cases()[case]
-        default = run(cfg)
-        monkeypatch.setattr(simulator, "_COUNT_FIRST", -1.0)
-        assert simulator._Codebook(cfg).count_first == (cfg.mode == "layered-ps")
-        assert run(cfg) == default
-
     def test_rejected_word_in_the_codebook_draw(self, monkeypatch):
-        # integers(100) rejects word 1115 of the 2048 that trial 0 draws at
-        # this seed; small chunks make the count read many batches
+        # integers(100) would reject word 1115 of the 2048 that trial 0 draws
+        # at this seed; the draw maps it like any other word, and small
+        # chunks put it in the middle of one
         ch = mary_symmetric(100, 0.1)
         cfg = layered_config(ch=ch, p_x=uniform_pmf(ch.input), q=likelihood_metric(ch),
                              n=2, r_c=5.0, r_tx=2.5, eps_typ=1.0, trials=2, rng_seed=124586)
+        stream = np.random.default_rng([cfg.rng_seed, 0]).bit_generator
+        words = stream.random_raw(1024).view("<u4").astype(np.uint64)
+        assert np.flatnonzero(words * 100 % 2 ** 32 < 2 ** 32 % 100).tolist() == [1115]
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
-        trial, attempts = simulator._Codebook._trial, []
-
-        def counted(book, rng, start, rejected):
-            record = trial(book, rng, start, rejected)
-            attempts.append((rejected, record is not None))
-            return record
-
-        monkeypatch.setattr(simulator._Codebook, "_trial", counted)
-        res = run(cfg)
-        # trial 0 misses its end check without the count, then lists the word
-        assert [ok for _, ok in attempts] == [False, True, True]
-        assert attempts[0][0] == [] and attempts[1][0][0] == 1115
-        for t, rec in enumerate(res.per_trial):
+        book, rng = simulator._Codebook(cfg), np.random.default_rng([cfg.rng_seed, 0])
+        drawn = [book.draw(rng, min(book.rows, book.n_c - lo)).copy()
+                 for lo in range(0, book.n_c, book.rows)]
+        expected = _multiply_shift(np.random.default_rng([cfg.rng_seed, 0]), 100, (book.n_c, cfg.n))
+        assert np.array_equal(np.concatenate(drawn), expected)
+        for t, rec in enumerate(run(cfg).per_trial):
             assert _outcome(rec) == _one_shot_trial(cfg, t)
-        attempts.clear()
-        monkeypatch.setattr(simulator, "_COUNT_FIRST", -1.0)
-        assert run(cfg) == res
-        assert [ok for _, ok in attempts] == [True] * cfg.trials
 
     @pytest.mark.parametrize("case", ["layered-nx2", "layered-nx3", "classical-shaped",
                                       "noiseless-ties"])
-    def test_uncounted_rejection_redoes_the_trial(self, monkeypatch, case):
+    def test_seek_off_by_one_word_fails_the_end_check(self, monkeypatch, case):
         cfg = _streamed_cases()[case]
-        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
-        honest = run(cfg)
-        trial, attempts = simulator._Codebook._trial, []
-
-        def phantom_first(book, rng, start, rejected):
-            # each first attempt seeks past a word 0 that nothing rejected
-            record = trial(book, rng, start, [0] if len(attempts) % 2 == 0 else rejected)
-            attempts.append(record is not None)
-            return record
-
-        monkeypatch.setattr(simulator._Codebook, "_trial", phantom_first)
-        redone = run(cfg)
-        # every trial fails its end check once, then completes as counted
-        assert attempts == [False, True] * cfg.trials
-        assert redone == honest
-        for t, rec in enumerate(redone.per_trial):
-            assert _outcome(rec) == _one_shot_trial(cfg, t)
+        seek = simulator._seek
+        monkeypatch.setattr(simulator, "_seek",
+                            lambda bg, start, words, half: seek(bg, start, words + 1, half))
+        with pytest.raises(RuntimeError, match="did not end where _seek placed u"):
+            run(cfg)
 
 
-# The draw and the scorer reproduce numpy's own Generator.integers and row
-# sum bit for bit, so that the simulator's output does not depend on how it
-# computes them. A numpy whose algorithms differ must fail here, not change
+# The draw and the scorer reproduce numpy's own Generator.integers words and
+# row sum bit for bit, so that the simulator's output does not depend on how
+# it computes them. A numpy whose algorithms differ must fail here, not change
 # the golden outputs silently.
 
 class TestDrawOracle:
-    # powers of two take the shifted raw words, the other sizes integers
-    # itself (2^31 + 1 rejects about half of all 32-bit words)
-    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 5, 8, 255, 256, 257, 2 ** 31, 2 ** 31 + 1])
+    # every size maps the words of integers(2^32) by multiply-shift, which
+    # for powers of two is integers(nx) itself; integers(nx) would reject
+    # about half the words at 2^31 + 1 and a quarter at 3 * 2^30
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 5, 8, 255, 256, 257, 2 ** 31, 2 ** 31 + 1,
+                                    3 * 2 ** 30])
     @pytest.mark.parametrize("size", [1, 7, 1001])
     @pytest.mark.parametrize("pending", [False, True], ids=["even", "pending-half"])
     def test_uniform_draw_is_integers(self, nx, size, pending):
-        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
-        if pending:
-            # one 32-bit word leaves the high half of a 64-bit output pending
-            ours.integers(3), ref.integers(3)
-            assert ours.bit_generator.state["has_uint32"] == 1
-        out = np.empty(size, dtype=np.uint64)
-        simulator._draw_uniform(ours, nx, out)
-        assert np.array_equal(out, ref.integers(nx, size=size))
-        assert ours.bit_generator.state == ref.bit_generator.state
-        assert ours.integers(1000) == ref.integers(1000)
-        assert ours.random() == ref.random()
+        def generator():
+            rng = np.random.default_rng(5)
+            if pending:
+                # one 32-bit word leaves the high half of a 64-bit output pending
+                rng.integers(3)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            return rng
+
+        oracles = [lambda rng: _multiply_shift(rng, nx, size)]
+        if nx & (nx - 1) == 0:
+            oracles.append(lambda rng: rng.integers(nx, size=size))
+        for oracle in oracles:
+            ours, ref = generator(), generator()
+            out = np.empty(size, dtype=np.uint64)
+            simulator._draw_uniform(ours, nx, out)
+            assert np.array_equal(out, oracle(ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert ours.integers(1000) == ref.integers(1000)
+            assert ours.random() == ref.random()
 
 
 def _bits(a):
