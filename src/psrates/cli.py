@@ -297,7 +297,7 @@ def cmd_typical(args):
     for spec in specs:
         n = spec.n
         size = typicality.typical_set_size(spec)
-        rate = typicality.rate_of_typical_set(spec)
+        rate = typicality._rate_of_size(size, n)
         exponent = n * (1 - args.eps) * h
         lemma = math.inf if exponent >= 1024 else 2.0 ** exponent
         print(f"{n},{_fmt(args.eps)},{size},{_fmt(rate)},{_fmt(lemma)}")

@@ -13,6 +13,7 @@ import numpy as np
 from .channel import _check_input
 from .core import NumericalCheckError
 from .rates import _check_metric
+from .typicality import _check_block_length
 
 # Buckets of the guide table that _draw_iid looks uniforms up in.
 _GUIDE_BUCKETS = 1 << 16
@@ -163,8 +164,7 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
     """
     _check_input(p_x, ch)
     _check_metric(ch, q)
-    if n < 1:
-        raise ValueError(f"block length n must be at least 1, got {n}")
+    _check_block_length(n)
     if trials < 1:
         raise ValueError("need at least one trial")
     if composition not in ("iid", "exact"):

@@ -17,19 +17,20 @@ that a trial holds O(n).
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare
-PCG64 moved there with advance (_seek): a layered-ps cell takes one 32-bit
-word, none when |X| = 1, and a classical cell one 64-bit word, so the seek is
-exact. The scoring pass checks that the codebook draw ends where the seek put
-it, and raises if not.
+PCG64 moved there with advance (_seek). Every row owns whole 64-bit outputs:
+ceil(n/2) for layered-ps, none when |X| = 1, and n for classical, so the seek
+is exact and no draw stops inside an output. The scoring pass checks that
+the codebook draw ends where the seek put it, and raises if not.
 
 Output: a trial is the same for every chunk size, and the same as drawing
 the whole codebook at once and scoring it with one row sum. The layered-ps
-draw maps each 32-bit word w of PCG64's stream to the symbol (w * |X|) >> 32,
-carrying the half of a 64-bit output that is left pending as
-Generator.integers does. This is Lemire's multiply-shift without its
-rejection step, so a symbol's probability differs from 1/|X| by less than
-2^-32, and by nothing when |X| is a power of two, where the draw equals
-rng.integers(|X|). The classical draw takes the same rng.random uniforms as
+draw maps the 32-bit halves w of each row's outputs, low half first, to the
+symbols (w * |X|) >> 32; an odd-n row leaves its last high half unused, and
+no half is ever left pending between draws. This is Lemire's multiply-shift
+without its rejection step, so a symbol's probability differs from 1/|X| by
+less than 2^-32, and by nothing when |X| is a power of two. For such |X| and
+even n the draw equals rng.integers(|X|, size=(rows, n)); for odd n it does
+not. The classical draw takes the same rng.random uniforms as
 rng.choice and maps them to choice's indices through a guide table over their
 leading 16 bits (empirical._draw_iid), built once per run. Each score adds
 its n terms in the order of numpy's pairwise row sum, so it is bit-equal to
@@ -82,6 +83,9 @@ class SimConfig:
         _check_input(self.p_x, self.ch)
         _check_metric(self.ch, self.q)
         TypicalSpec(self.p_x, self.n, self.eps_typ)
+        for name, rate in (("r_c", self.r_c), ("r_tx", self.r_tx)):
+            if not math.isfinite(rate):
+                raise ValueError(f"{name} must be finite, got {rate}")
         if not 0 <= self.r_tx <= self.r_c:
             raise ValueError("need 0 <= r_tx <= r_c")
         if self.n * self.r_c > FEASIBILITY_CAP:
@@ -155,6 +159,8 @@ class TrialRecord:
 
 def pairwise_union_bound(pair, q, r_c):
     """Union bound 2^(-n (T-hat - r_c)) on the conditional error, in [0,1]."""
+    if not r_c >= 0:
+        raise ValueError(f"code rate r_c must be non-negative, got {r_c}")
     return _union_bound(empirical_code_rate(pair, q), len(pair.x_seq), r_c)
 
 
@@ -185,20 +191,20 @@ class _Codebook:
         self.scores = np.empty(len(self.chunk))
         self.logq = cfg.q.log2_q()
         self.spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
-        # PCG64 words per cell: one 32-bit word per layered-ps cell, none for
-        # a single symbol; one 64-bit word per classical uniform
+        # PCG64 outputs per row: half of one per layered-ps cell, rounded up,
+        # none for a single symbol; one per classical uniform
         if cfg.mode == "layered-ps":
-            self.words, self.half = int(nx > 1), True
+            self.row_outputs = -(-cfg.n // 2) if nx > 1 else 0
         else:
             self.guide, self.uniforms = _iid_guide(cfg.p_x.probs), np.empty(self.chunk.size)
-            self.words, self.half = 1, False
+            self.row_outputs = cfg.n
         self.spare = np.random.Generator(np.random.PCG64(0))
 
     def draw(self, rng, rows):
         """The next `rows` codebook rows from rng, in the chunk buffer."""
         out = self.chunk[:rows]
         if self.cfg.mode == "layered-ps":
-            _draw_uniform(rng, self.nx, out.reshape(-1))
+            _draw_uniform(rng, self.nx, out)
         else:
             out.reshape(-1)[:] = _draw_iid(rng, self.guide, self.uniforms[:out.size])
         return out
@@ -209,12 +215,11 @@ class _Codebook:
         codebook draw."""
         cfg, n_v = self.cfg, self.n_v
         gen, start = self.spare, rng.bit_generator.state
-        row_words = cfg.n * self.words
-        _seek(gen.bit_generator, start, self.n_c * row_words, self.half)
+        _seek(gen.bit_generator, start, self.n_c * self.row_outputs)
         end = gen.bit_generator.state
         u = int(gen.integers(self.n_u))
         after_u = gen.bit_generator.state
-        _seek(gen.bit_generator, start, u * n_v * row_words, self.half)
+        _seek(gen.bit_generator, start, u * n_v * self.row_outputs)
         failed, v, x = self._encode(gen)
         gen.bit_generator.state = after_u
         y = sample_channel_outputs(cfg.ch, x, gen)
@@ -262,55 +267,34 @@ class _Codebook:
         return True, 0, first
 
 
-def _seek(bg, start, words, half):
-    """Set bg to the state start, which has no half pending, advanced by
-    `words` draws of PCG64: 32-bit words as next_uint32 takes them when half,
-    else 64-bit outputs. bg.state is then the state those draws leave."""
+def _seek(bg, start, outputs):
+    """Set bg to the state start advanced by `outputs` 64-bit PCG64 outputs,
+    the state that many whole-output draws leave."""
     bg.state = start
-    if not (half and words):
-        bg.advance(words)
-        return
-    # next_uint32 serves an output's low half, then its high half; the last
-    # output it touched keeps its high half in uinteger, pending if unused
-    bg.advance((words - 1) // 2)
-    high = int(bg.random_raw()) >> 32
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = words % 2, high
-    bg.state = state
+    bg.advance(outputs)
 
 
 def _draw_uniform(rng, nx, out):
-    """Fill the 1-D array out with the symbols (w * nx) >> 32 of the next
-    out.size 32-bit words w of rng's PCG64 stream, 2 <= nx <= 2^32, and
-    leave rng where next_uint32 would; zeros, and no word, when nx = 1.
+    """Fill the (rows, n) array out with uniform symbols of range(nx),
+    1 <= nx <= 2^32, from rng's next rows * ceil(n/2) PCG64 outputs.
 
-    PCG64 serves each 64-bit output as its low half, then its high half,
-    and keeps an unused high half pending in its state between calls. For
-    nx = 2^k the symbol is w >> (32 - k), what rng.integers(nx) returns;
-    other nx skip integers' rejection step, which a word meets with
-    probability (2^32 mod nx) / 2^32.
+    Row r owns outputs r * ceil(n/2) on; cell i maps the low, then the high,
+    32-bit half w of the row's output i // 2 to the symbol (w * nx) >> 32,
+    and an odd row leaves its last high half unused. When nx = 1 the cells
+    are zeros and take no output. For nx = 2^k the symbol is w >> (32 - k).
     """
     if nx == 1:
         out[:] = 0
         return
-    bg = rng.bit_generator
-    state = bg.state
-    pending, last = state["has_uint32"], state["uinteger"]
-    raw = bg.random_raw((out.size - pending + 1) // 2).astype("<u8", copy=False)
-    words = raw.view("<u4")
-    if pending:
-        words = np.concatenate((np.array([last], dtype=np.uint32), words))
-    if raw.size:
-        last = int(raw[-1] >> np.uint64(32))
+    rows, n = out.shape
+    raw = rng.bit_generator.random_raw((rows, -(-n // 2))).astype("<u8", copy=False)
+    words = raw.view("<u4")[:, :n]
     if nx & (nx - 1):
-        product = np.multiply(words[:out.size], nx, dtype=np.uint64)
+        product = np.multiply(words, nx, dtype=np.uint64)
         np.right_shift(product, 32, out=out, casting="unsafe")
     else:
         # the same symbols as the product, in less time
-        np.right_shift(words[:out.size], 33 - nx.bit_length(), out=out, casting="unsafe")
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = words.size - out.size, last
-    bg.state = state
+        np.right_shift(words, 33 - nx.bit_length(), out=out, casting="unsafe")
 
 
 def _score_rows(table, chunk, out):

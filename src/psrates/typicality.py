@@ -6,6 +6,7 @@ without tolerance, and block lengths in the thousands stay cheap.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,19 @@ class TypicalSpec:
     eps_typ: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"block length n must be at least 1, got {self.n}")
+        _check_block_length(self.n)
         if not 0 <= self.eps_typ < math.inf:
             raise ValueError(
                 f"typicality tolerance eps_typ must be finite and non-negative, got {self.eps_typ}"
             )
+
+
+def _check_block_length(n):
+    """Raise ValueError unless n is an integer of at least 1."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"block length n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"block length n must be at least 1, got {n}")
 
 
 def _count_bounds(spec):
@@ -105,10 +113,15 @@ def typical_set_size(spec):
 
 def rate_of_typical_set(spec):
     """log2 of the typical-set size per symbol; -inf for an empty set."""
-    size = typical_set_size(spec)
+    return _rate_of_size(typical_set_size(spec), spec.n)
+
+
+def _rate_of_size(size, n):
+    """log2(size) / n, the rate of a set of `size` length-n sequences; -inf
+    for an empty set."""
     if size == 0:
         return -math.inf
-    return math.log2(size) / spec.n
+    return math.log2(size) / n
 
 
 def encoding_failure_bound(spec, r_prime):
@@ -118,8 +131,8 @@ def encoding_failure_bound(spec, r_prime):
     Evaluated in the log2 domain, so it does not overflow at large n: 1.0
     for an empty set, 0.0 once the exponent exceeds the float range.
     """
-    if r_prime < 0:
-        raise ValueError("rate slack must be non-negative")
+    if not r_prime >= 0:
+        raise ValueError(f"rate slack must be non-negative, got {r_prime}")
     size = typical_set_size(spec)
     if size == 0:
         return 1.0

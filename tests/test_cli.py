@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from psrates import binary_entropy, bsc, likelihood_metric, uniform_pmf
-from psrates import empirical, rates
+from psrates import empirical, rates, typicality
 from psrates.cli import main
 from psrates.rates import achievable_transmission_rate
 
@@ -301,6 +301,14 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: typicality tolerance")
 
+    @pytest.mark.parametrize("flag, field", [("--rc", "r_c"), ("--rtx", "r_tx")])
+    def test_nan_rate_named(self, capsys, flag, field):
+        args = list(self.ARGS)
+        args[args.index(flag) + 1] = "nan"
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err == f"error: {field} must be finite, got nan\n"
+
     def test_awgn_ask_channel(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--channel", "awgn-ask:4,0.5,64", "--input", "uniform",
@@ -396,6 +404,16 @@ class TestTypicalCommand:
         assert row8[0] == "8"
         # exact count for n=8, eps=0.2: compositions with 4 ones
         assert int(row8[2]) == math.comb(8, 4)
+
+    def test_one_count_per_block_length(self, capsys, monkeypatch):
+        # the rate comes from the size already counted, not a second DP
+        calls = []
+        count = typicality.typical_set_size
+        monkeypatch.setattr(typicality, "typical_set_size",
+                            lambda spec: calls.append(spec.n) or count(spec))
+        code, _, _ = run_cli(capsys, "typical", "--pmf", "0.4,0.6", "--n", "8,20,40",
+                             "--eps", "0.3")
+        assert code == 0 and calls == [8, 20, 40]
 
     def test_nan_tolerance_rejected(self, capsys):
         code, out, err = run_cli(

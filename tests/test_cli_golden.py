@@ -110,6 +110,12 @@ CASES = {
         "simulate", "--channel", "mary:641,0.1", "--input", "uniform", "--metric", "likelihood",
         "--mode", "layered-ps", "--n", "2", "--rc", "11", "--rtx", "5.5",
         "--eps-typ", "1", "--trials", "2", "--seed", "1", "--per-trial-csv", "{csv}"),
+    # Odd n: each codeword row leaves the high half of its last PCG64
+    # output unused.
+    "simulate-layered-odd-n": (
+        "simulate", "--channel", "mary:3,0.1", "--input", "uniform", "--metric", "likelihood",
+        "--mode", "layered-ps", "--n", "13", "--rc", "1", "--rtx", "0.5",
+        "--eps-typ", "0.3", "--trials", "4", "--seed", "2", "--per-trial-csv", "{csv}"),
     "simulate-classical": (
         "simulate", "--channel", "mary:4,0.05", "--input", "0.4,0.3,0.2,0.1",
         "--metric", "likelihood", "--mode", "classical", "--n", "6", "--rc", "1.5",

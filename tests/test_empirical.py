@@ -230,6 +230,8 @@ class TestMonteCarloTc:
             monte_carlo_t_c(p, ch, q, 10, 0, 0)
         with pytest.raises(ValueError):
             monte_carlo_t_c(p, ch, q, 10, 5, 0, composition="typical")
+        with pytest.raises(ValueError, match="block length n must be an integer"):
+            monte_carlo_t_c(p, ch, q, 2.5, 5, 0)
 
     def test_metric_on_other_input_order_rejected(self):
         # taken by position, these rows would be the likelihood itself

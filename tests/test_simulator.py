@@ -64,6 +64,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="eps_typ"):
             layered_config(eps_typ=eps_typ)
 
+    @pytest.mark.parametrize("field", ["r_c", "r_tx"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_named(self, field, rate):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            layered_config(**{field: rate})
+
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(ValueError, match="block length n must be an integer"):
+            layered_config(n=2.5)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             layered_config(mode="layered")
@@ -109,6 +119,12 @@ class TestPairwiseUnionBound:
         pair = SequencePair((0, 1), (1, 0))  # all positions flipped
         assert pairwise_union_bound(pair, q, 1.0) == 1.0
 
+    @pytest.mark.parametrize("r_c", [math.nan, -0.5])
+    def test_bad_rate_rejected(self, r_c):
+        q = likelihood_metric(bsc(0.11))
+        pair = SequencePair((0, 1), (1, 0))
+        with pytest.raises(ValueError, match="r_c"):
+            pairwise_union_bound(pair, q, r_c)
 
     def test_run_computes_t_hat_once_per_trial(self, monkeypatch):
         calls = []
@@ -255,11 +271,15 @@ class TestClassical:
 
 
 def _multiply_shift(rng, nx, shape):
-    """Uniform symbols of range(nx) from rng's 32-bit words w, as
-    (w * nx) >> 32; zeros, and no word, when nx = 1."""
+    """(rows, n) uniform symbols of range(nx) from rng's 32-bit words w, as
+    (w * nx) >> 32: each row takes ceil(n/2) whole 64-bit outputs, low half
+    first, and an odd row drops its last word; zeros, and no word, when
+    nx = 1."""
     if nx == 1:
         return np.zeros(shape, dtype=np.uint64)
-    return (rng.integers(2 ** 32, size=shape, dtype=np.uint32).astype(np.uint64) * nx) >> 32
+    rows, n = shape
+    words = rng.integers(2 ** 32, size=(rows, n + n % 2), dtype=np.uint32)[:, :n]
+    return (words.astype(np.uint64) * nx) >> 32
 
 
 def _one_shot_trial(cfg, t):
@@ -313,6 +333,11 @@ def _streamed_cases():
         "layered-nx3": layered_config(
             ch=ch3, p_x=uniform_pmf(ch3.input), q=likelihood_metric(ch3),
             n=10, r_c=1.2, r_tx=0.6, eps_typ=0.3, trials=6),
+        # odd n: each row leaves the high half of its last output unused
+        "layered-odd-n-nx2": layered_config(n=13, r_c=0.8, r_tx=0.4, trials=4),
+        "layered-odd-n-nx3": layered_config(
+            ch=ch3, p_x=uniform_pmf(ch3.input), q=likelihood_metric(ch3),
+            n=13, r_c=0.8, r_tx=0.4, eps_typ=0.3, trials=4),
         "classical-shaped": layered_config(
             p_x=shaped, q=posterior_metric(shaped, bsc05), mode="classical",
             n=12, r_c=0.75, r_tx=0.75, trials=6),
@@ -402,41 +427,46 @@ class TestStreamedCodebook:
             assert all(rec.w_error for rec in default.per_trial)
 
 
-def _one_symbol_per_row(nx, mode, probs=None):
-    """A run of n = 1, so that a codebook row is one cell, on a |X| = nx
-    input alphabet."""
+def _short_rows(n, nx, mode, probs=None):
+    """A run of about 64 codewords of length n on a |X| = nx input
+    alphabet."""
     ch = Dmc(Alphabet(tuple(range(nx))), Alphabet((0, 1)), np.full((nx, 2), 0.5))
     p = uniform_pmf(ch.input) if probs is None else Pmf(ch.input, probs)
-    return layered_config(p_x=p, ch=ch, q=likelihood_metric(ch), mode=mode, n=1,
-                          r_c=6.0, r_tx=6.0 if mode == "classical" else 3.0,
+    return layered_config(p_x=p, ch=ch, q=likelihood_metric(ch), mode=mode, n=n,
+                          r_c=6 / n, r_tx=6 / n if mode == "classical" else 3 / n,
                           eps_typ=1.0, trials=1)
 
 
 class TestStreamPosition:
     # u and block u are drawn from a generator moved with PCG64.advance to
-    # where the chunked draw would reach. Every cell takes the same number
-    # of words, so the seek is exact; each trial checks that at its end and
-    # raises if not.
+    # where the chunked draw would reach. Every row takes the same number of
+    # whole 64-bit outputs, so the seek is exact; each trial checks that at
+    # its end and raises if not.
     @pytest.mark.parametrize("mode, nx", [
         ("layered-ps", 1), ("layered-ps", 2), ("layered-ps", 4), ("layered-ps", 256),
         ("layered-ps", 3), ("classical", 2), ("classical", 4), ("classical", 257)])
     def test_seek_is_the_serial_draw(self, mode, nx):
         probs = None if mode == "layered-ps" else np.random.default_rng(nx).dirichlet(np.ones(nx))
-        book = simulator._Codebook(_one_symbol_per_row(nx, mode, probs))
         start = np.random.default_rng([11, nx]).bit_generator.state
-        for cells in range(41):  # both parities of the word count
-            for piece in (1, 3, 8):  # chunk boundaries at every piece
-                rng = np.random.default_rng()
-                rng.bit_generator.state = start
-                for lo in range(0, cells, piece):
-                    book.draw(rng, min(piece, cells - lo))
-                seeked = np.random.PCG64()
-                simulator._seek(seeked, start, cells * book.words, book.half)
-                assert seeked.state == rng.bit_generator.state, (cells, piece)
+        for n in (1, 2, 13):
+            book = simulator._Codebook(_short_rows(n, nx, mode, probs))
+            # ceil(n/2) outputs per layered-ps row, none for one symbol, and
+            # one per classical cell
+            outputs = n if mode == "classical" else -(-n // 2) if nx > 1 else 0
+            assert book.row_outputs == outputs
+            for rows in range(21):
+                for piece in (1, 3, 8):  # chunk boundaries at every piece
+                    rng = np.random.default_rng()
+                    rng.bit_generator.state = start
+                    for lo in range(0, rows, piece):
+                        book.draw(rng, min(piece, rows - lo))
+                    seeked = np.random.PCG64()
+                    simulator._seek(seeked, start, rows * outputs)
+                    assert seeked.state == rng.bit_generator.state, (n, rows, piece)
 
     # 2^31 + 1 would have integers(nx) reject about half of all 32-bit words,
     # 3 * 2^30 a quarter, 3 and 100 almost none; the draw maps each of them,
-    # so the seek counts one word per cell whatever nx is
+    # so the seek counts ceil(n/2) outputs per row whatever nx is
     @pytest.mark.parametrize("nx", [3, 100, 2 ** 31 + 1, 3 * 2 ** 30])
     def test_counted_seek_is_the_serial_draw(self, nx):
         start = np.random.default_rng([12, nx]).bit_generator.state
@@ -447,18 +477,20 @@ class TestStreamPosition:
             assert np.count_nonzero((words * nx) % 2 ** 32 < 2 ** 32 % nx) > 40
         rng = np.random.default_rng()
         rng.bit_generator.state = start
-        drawn = np.empty(words.size, np.uint64)
+        drawn = np.empty((100, 2), np.uint64)
         simulator._draw_uniform(rng, nx, drawn)
-        assert np.array_equal(drawn, (words * nx) >> np.uint64(32))
-        for cells in range(201):
-            for piece in (1, 3, 64):
-                rng = np.random.default_rng()
-                rng.bit_generator.state = start
-                for lo in range(0, cells, piece):
-                    simulator._draw_uniform(rng, nx, np.empty(min(piece, cells - lo), np.uint64))
-                seeked = np.random.PCG64()
-                simulator._seek(seeked, start, cells, True)
-                assert seeked.state == rng.bit_generator.state, (cells, piece)
+        assert np.array_equal(drawn.ravel(), (words * nx) >> np.uint64(32))
+        for n in (1, 2, 13):
+            for rows in range(41):
+                for piece in (1, 3, 16):
+                    rng = np.random.default_rng()
+                    rng.bit_generator.state = start
+                    for lo in range(0, rows, piece):
+                        out = np.empty((min(piece, rows - lo), n), np.uint64)
+                        simulator._draw_uniform(rng, nx, out)
+                    seeked = np.random.PCG64()
+                    simulator._seek(seeked, start, rows * -(-n // 2))
+                    assert seeked.state == rng.bit_generator.state, (n, rows, piece)
 
     def test_rejected_word_in_the_codebook_draw(self, monkeypatch):
         # integers(100) would reject word 1115 of the 2048 that trial 0 draws
@@ -479,15 +511,23 @@ class TestStreamPosition:
         for t, rec in enumerate(run(cfg).per_trial):
             assert _outcome(rec) == _one_shot_trial(cfg, t)
 
-    @pytest.mark.parametrize("case", ["layered-nx2", "layered-nx3", "classical-shaped",
-                                      "noiseless-ties"])
+    @pytest.mark.parametrize("case", ["layered-nx2", "layered-nx3", "layered-odd-n-nx3",
+                                      "classical-shaped", "noiseless-ties"])
     def test_seek_off_by_one_word_fails_the_end_check(self, monkeypatch, case):
+        # the seek one 64-bit output long must raise, not return a record
         cfg = _streamed_cases()[case]
         seek = simulator._seek
         monkeypatch.setattr(simulator, "_seek",
-                            lambda bg, start, words, half: seek(bg, start, words + 1, half))
+                            lambda bg, start, outputs: seek(bg, start, outputs + 1))
         with pytest.raises(RuntimeError, match="did not end where _seek placed u"):
             run(cfg)
+
+
+def _position(rng):
+    """rng's PCG64 state and whether a 32-bit half is pending; the buffered
+    half itself is dead when none is."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"]
 
 
 # The draw and the scorer reproduce numpy's own Generator.integers words and
@@ -496,31 +536,24 @@ class TestStreamPosition:
 # the golden outputs silently.
 
 class TestDrawOracle:
-    # every size maps the words of integers(2^32) by multiply-shift, which
-    # for powers of two is integers(nx) itself; integers(nx) would reject
-    # about half the words at 2^31 + 1 and a quarter at 3 * 2^30
+    # every size maps the words of integers(2^32), ceil(n/2) outputs per row,
+    # by multiply-shift; for powers of two and even n that is integers(nx)
+    # itself. integers(nx) would reject about half the words at 2^31 + 1 and
+    # a quarter at 3 * 2^30
     @pytest.mark.parametrize("nx", [1, 2, 3, 4, 5, 8, 255, 256, 257, 2 ** 31, 2 ** 31 + 1,
                                     3 * 2 ** 30])
     @pytest.mark.parametrize("size", [1, 7, 1001])
-    @pytest.mark.parametrize("pending", [False, True], ids=["even", "pending-half"])
-    def test_uniform_draw_is_integers(self, nx, size, pending):
-        def generator():
-            rng = np.random.default_rng(5)
-            if pending:
-                # one 32-bit word leaves the high half of a 64-bit output pending
-                rng.integers(3)
-                assert rng.bit_generator.state["has_uint32"] == 1
-            return rng
-
-        oracles = [lambda rng: _multiply_shift(rng, nx, size)]
-        if nx & (nx - 1) == 0:
-            oracles.append(lambda rng: rng.integers(nx, size=size))
+    @pytest.mark.parametrize("n", [16, 13], ids=["even", "odd"])
+    def test_uniform_draw_is_integers(self, nx, size, n):
+        oracles = [lambda rng: _multiply_shift(rng, nx, (size, n))]
+        if nx & (nx - 1) == 0 and n % 2 == 0:
+            oracles.append(lambda rng: rng.integers(nx, size=(size, n)))
         for oracle in oracles:
-            ours, ref = generator(), generator()
-            out = np.empty(size, dtype=np.uint64)
+            ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+            out = np.empty((size, n), dtype=np.uint64)
             simulator._draw_uniform(ours, nx, out)
             assert np.array_equal(out, oracle(ref))
-            assert ours.bit_generator.state == ref.bit_generator.state
+            assert _position(ours) == _position(ref)
             assert ours.integers(1000) == ref.integers(1000)
             assert ours.random() == ref.random()
 

@@ -71,6 +71,15 @@ class TestSpec:
         with pytest.raises(ValueError, match="tolerance"):
             TypicalSpec(Pmf(A2, np.array([0.5, 0.5])), 10, eps)
 
+    @pytest.mark.parametrize("n", [2.5, 8.0, "8"])
+    def test_non_integer_length_rejected(self, n):
+        with pytest.raises(ValueError, match="block length n must be an integer"):
+            TypicalSpec(Pmf(A2, np.array([0.5, 0.5])), n, 0.2)
+
+    def test_numpy_integer_length_accepted(self):
+        p = Pmf(A2, np.array([0.5, 0.5]))
+        assert typical_set_size(TypicalSpec(p, np.int64(8), 0.0)) == math.comb(8, 4)
+
 
 class TestMembership:
     def test_exact_composition_always_typical(self):
@@ -223,6 +232,11 @@ class TestEncodingFailureBound:
         spec = TypicalSpec(Pmf(A2, np.array([0.5, 0.5])), 4, 0.1)
         with pytest.raises(ValueError):
             encoding_failure_bound(spec, -0.1)
+
+    def test_nan_rate_rejected(self):
+        spec = TypicalSpec(Pmf(A2, np.array([0.5, 0.5])), 4, 0.1)
+        with pytest.raises(ValueError, match="rate slack"):
+            encoding_failure_bound(spec, math.nan)
 
     def test_empirical_failure_frequency(self):
         # simulate the encoder search and compare to the analytic bound
