@@ -83,6 +83,7 @@ def composition_sorted_rate(pair, q):
 
 def exact_composition_sequence(p_x, n, rng):
     """Random permutation of the largest-remainder rounding of n * P_X."""
+    _check_block_length(n)
     target = p_x.probs * n
     base = np.floor(target).astype(int)
     short = n - base.sum()
@@ -102,6 +103,8 @@ def sample_channel_outputs(ch, x_idx, rng):
     O(n log |Y|) plus one pass over x_idx per input symbol.
     """
     x_idx = np.asarray(x_idx)
+    if x_idx.dtype.kind not in "iu":
+        raise ValueError(f"input indices must be integers, got dtype {x_idx.dtype}")
     cum = np.cumsum(ch.w, axis=1)
     if len(x_idx) and not 0 <= x_idx.min() <= x_idx.max() < len(cum):
         raise ValueError("input index out of range")

@@ -277,12 +277,14 @@ def lm_rate(p_x, ch, q, s, r):
     """LM-rate with exponent s and per-symbol weights r, clamped at zero:
     the GMI's s-family with r(X) in the numerator and P(a) r(a) weights in
     the normalizer. With s=1, r=1/P_X and full support this reproduces the
-    shaped rate. s and the weights on the support of P_X must be finite
-    and positive.
+    shaped rate. r holds one weight per input symbol; s and the weights on
+    the support of P_X must be finite and positive.
     """
     if not 0 < s < math.inf:
         raise ValueError(f"exponent must be finite and positive, got {s}")
     r = np.asarray(r, dtype=float)
+    if r.shape != (len(ch.input),):
+        raise ValueError(f"weights must have shape ({len(ch.input)},), got {r.shape}")
     r_supp = r[p_x.probs > 0]
     if not np.all((r_supp > 0) & (r_supp < math.inf)):
         raise ValueError("weights must be finite and positive on the support")

@@ -10,10 +10,13 @@ Memory: `run` holds no codebook. Each trial draws its codebook once, in row
 chunks of about _CHUNK_CELLS cells from the trial's start state, and scores
 each chunk as soon as it is drawn. It keeps the running maximum score, the
 first index that reaches it and how many scores equal it, which is the whole
-codebook's max / flatnonzero rule. A chunk's temporaries take up to about 24
-bytes per cell; the classical draw takes about 19: a reused float64 uniform,
-its intp bucket index, the 1- or 2-byte drawn index and a bool mask. Beyond
-that a trial holds O(n).
+codebook's max / flatnonzero rule. A chunk's buffers and temporaries take at
+most about 19 bytes per cell, as tracemalloc measures a trial's peak: about
+19 for the classical draw (a reused float64 uniform, its intp bucket index,
+the 1- or 2-byte drawn index and a bool mask), about 14 for the layered-ps
+draw when |X| is not a power of two (the raw outputs, their uint64 products
+and the drawn symbols) and about 6 when it is. Scoring adds 16/n: the scores
+and one gathered column. Beyond that a trial holds O(n).
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare
@@ -32,14 +35,21 @@ less than 2^-32, and by nothing when |X| is a power of two. For such |X| and
 even n the draw equals rng.integers(|X|, size=(rows, n)); for odd n it does
 not. The classical draw takes the same rng.random uniforms as
 rng.choice and maps them to choice's indices through a guide table over their
-leading 16 bits (empirical._draw_iid), built once per run. Each score adds
-its n terms in the order of numpy's pairwise row sum, so it is bit-equal to
-that sum.
+leading 16 bits (empirical._draw_iid), built once per run. Scores are exact
+sums: the decoder's log2 q table is rounded once per run to the nearest
+multiple of 2^-k, for the largest k at which any sum of n finite entries is
+exact in float64, and -inf stays -inf (_log2_q_grid). Each score adds its n
+terms in position order. Every partial sum is exact, so a score does not
+depend on the order of its terms, and equals the grid table's row sum taken
+in any order.
 
 Decoder ties: the transmitted index counts as correctly decoded only when it
-is the unique maximizer. Ties are detected only when the float scores are
-bit-equal; two codewords with equal metric products but different symbol
-orders can differ in the last bit, and then the rounding picks the winner.
+is the unique maximizer, so a tie counts as an error. Codewords with the
+same joint type with y add the same terms, so they score bit-equal and tie.
+The gap that remains is the grid: rounding moves each log2 q entry by at
+most 2^-(k+1), so log-metric values closer than that can merge, and two
+scores whose unrounded sums differ by less than n * 2^-k can tie or swap.
+At n = 24 with |log2 q| <= 8 the grid is 2^-44.
 """
 
 import math
@@ -189,7 +199,7 @@ class _Codebook:
         self.rows = max(1, _CHUNK_CELLS // cfg.n)
         self.chunk = np.empty((min(self.rows, self.n_c), cfg.n), dtype=np.min_scalar_type(nx - 1))
         self.scores = np.empty(len(self.chunk))
-        self.logq = cfg.q.log2_q()
+        self.logq = _log2_q_grid(cfg.q.log2_q(), cfg.n)
         self.spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
         # PCG64 outputs per row: half of one per layered-ps cell, rounded up,
         # none for a single symbol; one per classical uniform
@@ -297,46 +307,26 @@ def _draw_uniform(rng, nx, out):
         np.right_shift(words, 33 - nx.bit_length(), out=out, casting="unsafe")
 
 
-def _score_rows(table, chunk, out):
-    """out[r] = sum over i of table[i, chunk[r, i]], bit-equal to
-    table[np.arange(n), chunk].sum(axis=1).
+def _log2_q_grid(logq, n):
+    """logq rounded to the nearest multiple of 2^-k, for the largest k at
+    which any sum of n finite entries is exact in float64; -inf stays.
 
-    The gathered terms are added column by column in the order numpy's
-    pairwise row sum adds them, starting from 0.
+    n * max|finite entry| < 2^(52 - k), so a sum of n rounded entries is an
+    integer multiple of 2^-k below 2^(53 - k) in magnitude.
     """
-    np.add(_pairwise_sum(table, chunk, 0, chunk.shape[1]), 0.0, out=out)
+    k = 52 - math.frexp(n * np.abs(logq[np.isfinite(logq)]).max(initial=0.0))[1]
+    return np.ldexp(np.round(np.ldexp(logq, k)), -k)
 
 
-def _pairwise_sum(table, chunk, lo, hi):
-    """The sum of columns lo..hi-1 of the gathered terms, as numpy's
-    pairwise_sum adds a row: sequentially below 8 terms, with 8 accumulators
-    over blocks of 8 up to 128, and split in halves rounded down to a
-    multiple of 8 above that."""
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        acc = _pairwise_sum(table, chunk, lo, lo + half)
-        acc += _pairwise_sum(table, chunk, lo + half, hi)
-        return acc
-    if n < 8:
-        acc = np.zeros(len(chunk))
-        tail = lo
-    else:
-        r = [table[lo + j].take(chunk[:, lo + j]) for j in range(8)]
-        tail = hi - n % 8
-        for b in range(lo + 8, tail, 8):
-            for j in range(8):
-                r[j] += table[b + j].take(chunk[:, b + j])
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for j in (0, 2, 4, 6):
-            r[j] += r[j + 1]
-        r[0] += r[2]
-        r[4] += r[6]
-        r[0] += r[4]
-        acc = r[0]
-    for i in range(tail, hi):
-        acc += table[i].take(chunk[:, i])
-    return acc
+def _score_rows(table, chunk, out):
+    """out[r] = sum over i of table[i, chunk[r, i]], added in position order.
+
+    On a _log2_q_grid table every partial sum is exact, so the score does
+    not depend on the order of the terms.
+    """
+    table[0].take(chunk[:, 0], out=out)
+    for i in range(1, chunk.shape[1]):
+        out += table[i].take(chunk[:, i])
 
 
 def _summarize(cfg, records, r_c, r_tx, n_c, n_u):

@@ -134,6 +134,12 @@ class TestExactComposition:
         for n in (1, 7, 23):
             assert len(exact_composition_sequence(p, n, rng)) == n
 
+    @pytest.mark.parametrize("n", [2.5, 1.0, 0, -3])
+    def test_bad_length_rejected(self, n):
+        p = Pmf(Alphabet((0, 1)), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="block length n"):
+            exact_composition_sequence(p, n, np.random.default_rng(0))
+
 
 def comparison_count_sample(ch, x_idx, rng):
     """Reference sampler: count the cumulative entries each uniform reaches."""
@@ -177,6 +183,11 @@ class TestSampleChannelOutputs:
         for x in ([0, 2], [-1, 0]):
             with pytest.raises(ValueError):
                 sample_channel_outputs(bsc(0.3), x, rng)
+
+    @pytest.mark.parametrize("x", [np.full(5, 0.5), np.zeros(5), np.ones(5, dtype=bool)])
+    def test_non_integer_indices_rejected(self, x):
+        with pytest.raises(ValueError, match="input indices must be integers"):
+            sample_channel_outputs(bsc(0.3), x, np.random.default_rng(59))
 
     def test_empirical_law(self):
         ch = bsc(0.2)

@@ -322,6 +322,12 @@ class TestLmRate:
         with pytest.raises(ValueError):
             lm_rate(p, ch, likelihood_metric(ch), 1.0, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("r", [2.0, [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_weights_of_the_wrong_shape_rejected(self, r):
+        ch = bsc(0.1)
+        with pytest.raises(ValueError, match="weights must have shape"):
+            lm_rate(uniform_pmf(ch.input), ch, likelihood_metric(ch), 1.0, r)
+
 
 class TestHardDecisionRate:
     def test_noiseless(self):

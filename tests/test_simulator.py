@@ -302,7 +302,7 @@ def _one_shot_trial(cfg, t):
         v = typical[0] if typical else 0
     w = u * n_v + v
     y = sample_channel_outputs(cfg.ch, cb[w], rng)
-    scores = cfg.q.log2_q()[cb, y[None, :]].sum(axis=1)
+    scores = simulator._log2_q_grid(cfg.q.log2_q(), cfg.n)[cb, y[None, :]].sum(axis=1)
     winners = np.flatnonzero(scores == scores.max())
     w_error = not (winners.size == 1 and winners[0] == w)
     pair = SequencePair([cfg.ch.input.symbols[i] for i in cb[w]],
@@ -379,14 +379,15 @@ class TestStreamedCodebook:
             tracemalloc.stop()
 
     def _assert_flat(self, small, big):
-        # the module docstring's promise: chunk temporaries of up to about
-        # 24 bytes per cell and O(n) per trial, whatever the codebook size
+        # the module docstring's promise: chunk buffers and temporaries of
+        # at most about 19 bytes per cell and O(n) per trial, whatever the
+        # codebook size
         n = big.n
         n_small, n_big = small.codebook_sizes()[0], big.codebook_sizes()[0]
         assert n_big >= 16 * n_small and small.n == n
         peaks = [self._peak(small), self._peak(big)]
         for peak in peaks:
-            assert peak < 24 * simulator._CHUNK_CELLS + 1024 * n, peaks
+            assert peak < 20 * simulator._CHUNK_CELLS + 1024 * n, peaks
         # the codebook grew by about 4.5 MB, the peak by at most 2 KB per
         # chunk
         chunks = -(-n_big // (simulator._CHUNK_CELLS // n))
@@ -530,10 +531,10 @@ def _position(rng):
     return state["state"], state["has_uint32"]
 
 
-# The draw and the scorer reproduce numpy's own Generator.integers words and
-# row sum bit for bit, so that the simulator's output does not depend on how
-# it computes them. A numpy whose algorithms differ must fail here, not change
-# the golden outputs silently.
+# The draw reproduces numpy's own Generator.integers words bit for bit, so
+# that the simulator's output does not depend on how it computes them. A
+# numpy whose algorithm differs must fail here, not change the golden outputs
+# silently.
 
 class TestDrawOracle:
     # every size maps the words of integers(2^32), ceil(n/2) outputs per row,
@@ -563,26 +564,78 @@ def _bits(a):
 
 
 class TestScoreOracle:
-    def test_scores_are_numpy_row_sums(self):
-        # terms of mixed magnitude, so that any other order of additions
-        # rounds differently, and -inf at a few (position, symbol) pairs
+    @staticmethod
+    def _mixed_table(rng, n, nx):
+        # terms of mixed magnitude, so that unrounded sums depend on the
+        # order of additions
+        return rng.standard_normal((n, nx)) * 10.0 ** rng.integers(-8, 9, size=(n, nx))
+
+    def test_grid_is_the_finest_exact_one(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 12, 24, 300, 20000):
+            raw = self._mixed_table(rng, n, 4)
+            raw[0, 0] = -np.inf
+            grid = simulator._log2_q_grid(raw, n)
+            finite = np.isfinite(raw)
+            k = 52 - math.frexp(n * np.abs(raw[finite]).max())[1]
+            assert np.array_equal(np.isfinite(grid), finite) and grid[0, 0] == -np.inf
+            units = np.ldexp(grid[finite], k)
+            assert np.array_equal(units, np.round(units)), n
+            assert np.all(np.abs(grid[finite] - raw[finite]) <= 2.0 ** -(k + 1)), n
+            # the worst sum of n entries fits 53 bits, and a grid twice as
+            # fine would not leave room for it
+            worst = n * np.abs(units).max()
+            assert worst <= 2 ** 53 and 2 * n * np.abs(raw[finite]).max() * 2.0 ** k >= 2 ** 52, n
+
+    def test_grid_of_zero_or_minus_inf_entries(self):
+        for raw in (np.zeros((3, 2)), np.full((3, 2), -np.inf)):
+            assert np.array_equal(simulator._log2_q_grid(raw, 3), raw)
+
+    def test_scores_are_exact_row_sums(self):
+        # on grid tables every partial sum is exact, so each score is the
+        # correctly rounded sum of its row, -inf at a few (position,
+        # symbol) pairs included
         rng = np.random.default_rng(7)
         for n in range(1, 301):
-            table = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-8, 9, size=(n, 4))
+            table = self._mixed_table(rng, n, 4)
             table[rng.integers(n, size=2), 0] = -np.inf
+            table = simulator._log2_q_grid(table, n)
             chunk = rng.integers(4, size=(33, n)).astype(np.uint8)
             out = np.empty(len(chunk))
             simulator._score_rows(table, chunk, out)
-            expected = table[np.arange(n), chunk].sum(axis=1)
+            terms = table[np.arange(n), chunk]
+            expected = np.array([math.fsum(row) for row in terms.tolist()])
             assert np.array_equal(_bits(out), _bits(expected)), n
 
     def test_duplicate_codewords_tie(self):
         rng = np.random.default_rng(8)
         n = 150
-        table = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 9, size=(n, 2))
+        table = simulator._log2_q_grid(self._mixed_table(rng, n, 2), n)
         chunk = rng.integers(2, size=(20, n)).astype(np.uint8)
         chunk[11] = chunk[3]
         out = np.empty(len(chunk))
         simulator._score_rows(table, chunk, out)
         assert _bits(out)[11] == _bits(out)[3]
         assert np.array_equal(_bits(out), _bits(table[np.arange(n), chunk].sum(axis=1)))
+
+    @pytest.mark.parametrize("eps, n", [(0.11, 12), (0.05, 16), (0.02, 22)])
+    def test_equal_joint_types_tie(self, eps, n):
+        # BSC codewords at the same Hamming distance from y have the same
+        # joint type with it, with their mismatches in different positions;
+        # ties count as errors only if such codewords score bit-equal
+        ch = bsc(eps)
+        book = simulator._Codebook(layered_config(ch=ch, q=likelihood_metric(ch), n=n,
+                                                  r_c=0.5, r_tx=0.25, trials=1))
+        rng = np.random.default_rng(n)
+        y = rng.integers(2, size=n)
+        table = np.ascontiguousarray(book.logq[:, y].T)
+        # every codeword up to n = 16, 2^16 random ones above
+        if n <= 16:
+            chunk = (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
+        else:
+            chunk = rng.integers(2, size=(2 ** 16, n)).astype(np.uint8)
+        out = np.empty(len(chunk))
+        simulator._score_rows(table, chunk, out)
+        distance = np.count_nonzero(chunk != y, axis=1)
+        for d in np.unique(distance):
+            assert np.unique(_bits(out[distance == d])).size == 1, d
