@@ -133,12 +133,19 @@ def _iid_guide(probs):
     return scaled, table
 
 
-def _draw_iid(rng, guide, u):
-    """u.size indices drawn i.i.d. from the guide's pmf: the values
-    rng.choice(len(probs), size=u.size, p=probs) returns, leaving rng where
-    choice leaves it. u is a 1-D float64 scratch array.
+def _iid_scratch(guide, size):
+    """(u, bucket, out): _draw_iid's arrays for `size` draws."""
+    return np.empty(size), np.empty(size, np.intp), np.empty(size, guide[1].dtype)
 
-    choice computes cdf.searchsorted(rng.random(u.size), "right"), the
+
+def _draw_iid(rng, guide, u, bucket, out):
+    """Fill out with out.size indices drawn i.i.d. from the guide's pmf: the
+    values rng.choice(len(probs), size=out.size, p=probs) returns, leaving
+    rng where choice leaves it. Returns out. u (float64) and bucket (intp)
+    are 1-D scratch arrays of out's size, and out has the guide table's
+    dtype (_iid_scratch).
+
+    choice computes cdf.searchsorted(rng.random(out.size), "right"), the
     number of cdf entries <= each uniform. Here the same uniforms, scaled
     exactly, take that number from the guide table by their integer part;
     only those in a bucket with a cdf entry inside it are searched.
@@ -146,10 +153,11 @@ def _draw_iid(rng, guide, u):
     scaled, table = guide
     rng.random(out=u)
     u *= _GUIDE_BUCKETS
-    idx = table.take(u.astype(np.intp))
-    open_ = np.flatnonzero(idx < 0)
-    idx[open_] = scaled.searchsorted(u[open_], "right")
-    return idx
+    np.copyto(bucket, u, casting="unsafe")
+    table.take(bucket, out=out, mode="clip")
+    open_ = np.flatnonzero(out < 0)
+    out[open_] = scaled.searchsorted(u[open_], "right")
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,13 +181,14 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
     if composition not in ("iid", "exact"):
         raise ValueError(f"unknown composition mode {composition!r}")
     if composition == "iid":
-        guide, u = _iid_guide(p_x.probs), np.empty(n)
+        guide = _iid_guide(p_x.probs)
+        scratch = _iid_scratch(guide, n)
     ratio = q.log2_ratio()
     values = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([rng_seed, t])
         if composition == "iid":
-            x = _draw_iid(rng, guide, u)
+            x = _draw_iid(rng, guide, *scratch)
         else:
             x = exact_composition_sequence(p_x, n, rng)
         y = sample_channel_outputs(ch, x, rng)

@@ -6,17 +6,26 @@ message, transmits it through the channel and decodes by exhaustive
 metric-product maximization over the whole codebook. The feasibility cap
 n * r_c <= 22 keeps full fixture suites in the minutes range.
 
+Workers: `run` runs trial t on worker t mod W, with W = min(2,
+os.cpu_count(), trials). Worker 0 is the calling thread and worker 1 a thread
+of its own. Every trial draws from its own stream, and the records come back
+in trial order, so the result does not depend on W. A 1-trial run, or a
+1-CPU host, runs one worker and gains nothing.
+
 Memory: `run` holds no codebook. Each trial draws its codebook once, in row
-chunks of about _CHUNK_CELLS cells from the trial's start state, and scores
-each chunk as soon as it is drawn. It keeps the running maximum score, the
-first index that reaches it and how many scores equal it, which is the whole
-codebook's max / flatnonzero rule. A chunk's buffers and temporaries take at
-most about 19 bytes per cell, as tracemalloc measures a trial's peak: about
-19 for the classical draw (a reused float64 uniform, its intp bucket index,
-the 1- or 2-byte drawn index and a bool mask), about 14 for the layered-ps
-draw when |X| is not a power of two (the raw outputs, their uint64 products
-and the drawn symbols) and about 6 when it is. Scoring adds 16/n: the scores
-and one gathered column. Beyond that a trial holds O(n).
+chunks from the trial's start state, and scores each chunk as soon as it is
+drawn. It keeps the running maximum score, the first index that reaches it
+and how many scores equal it, which is the whole codebook's max /
+flatnonzero rule. Each worker owns a chunk of _CHUNK_CELLS // W cells, so the
+workers together hold _CHUNK_CELLS cells whatever W is. Every per-chunk
+buffer is allocated once per run, on the calling thread. As tracemalloc
+measures a run's peak, a chunk cell takes 1-2 bytes, and its draw 4 more for
+layered-ps (the raw outputs), or 12 when |X| is not a power of two (with
+their uint64 products). The classical draw turns rng.random's uniforms into
+bucket indices in blocks of _IID_BLOCK cells, through buffers of about 17
+bytes per block cell. Scoring adds about 25/n per cell: the scores, one
+gathered column, its intp index and a bool mask. Beyond that a trial holds
+O(n).
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare
@@ -50,9 +59,20 @@ The gap that remains is the grid: rounding moves each log2 q entry by at
 most 2^-(k+1), so log-metric values closer than that can merge, and two
 scores whose unrounded sums differ by less than n * 2^-k can tie or swap.
 At n = 24 with |log2 q| <= 8 the grid is 2^-44.
+
+Message errors: the decoded message is the block of the first maximizer,
+the lowest codeword index reaching the maximum score. A tie is thus won by
+the lowest index for the message rate, while the decode rate counts it as
+an error. In classical mode every block is one codeword, so the message
+errors are the decode errors less the ties in which the transmitted
+codeword has the lowest index. The message rate counts every trial,
+encoding failures included; the decode rate counts only the trials that
+encoded.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +82,7 @@ from .empirical import (
     SequencePair,
     _draw_iid,
     _iid_guide,
+    _iid_scratch,
     empirical_code_rate,
     sample_channel_outputs,
 )
@@ -70,8 +91,13 @@ from .typicality import TypicalSpec, is_typical_counts
 
 FEASIBILITY_CAP = 22
 
-# Cells per chunk of the codebook draw and of decode scoring.
+# Cells per chunk of the codebook draw and of decode scoring, over all
+# workers.
 _CHUNK_CELLS = 1 << 18
+# Cells per block of the classical draw's uniforms and bucket indices; a
+# smaller block saves memory, but its extra calls cost time while the other
+# worker holds the GIL.
+_IID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,6 +149,18 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
+    """The outcome of a run.
+
+    decode_error_rate is decode_errors / decode_trials over the trials that
+    encoded, 0.0 when none did: a decode error is a trial whose transmitted
+    codeword is not the unique maximizer, so a tie is an error.
+    message_error_rate is message_errors / trials over all trials: a message
+    error is a trial whose first maximizer, the lowest tied index, lies
+    outside the transmitted message's block. So the two rates differ in
+    classical mode too, by the ties in which the transmitted codeword has
+    the lowest index.
+    """
+
     trials: int
     encoding_failure_rate: float
     decode_error_rate: float
@@ -181,24 +219,61 @@ def _union_bound(t_hat, n, r_c):
 
 
 def run(cfg):
-    """Run cfg.trials independent trials in the configured mode."""
-    book = _Codebook(cfg)
-    records = [book.trial(np.random.default_rng([cfg.rng_seed, t])) for t in range(cfg.trials)]
-    realized_r_tx = math.log2(book.n_u) / cfg.n
-    return _summarize(cfg, records, book.r_c, realized_r_tx, book.n_c, book.n_u)
+    """Run cfg.trials independent trials in the configured mode.
+
+    If trials fail, run raises the exception of the lowest failing trial,
+    the one a serial loop would raise: no worker starts a trial above a
+    failed one, so every trial below the lowest failure runs. A Ctrl-C
+    stops the other worker at its next trial.
+    """
+    workers = min(2, os.cpu_count() or 1, cfg.trials)
+    books = [_Codebook(cfg, _CHUNK_CELLS // workers) for _ in range(workers)]
+    # a worker writes only its own trials' records and its own entry of
+    # failed: its first failed trial and the exception
+    records = [None] * cfg.trials
+    failed = [(cfg.trials, None)] * workers
+
+    def work(w):
+        for t in range(w, cfg.trials, workers):
+            if t > min(f[0] for f in failed):
+                return
+            try:
+                records[t] = books[w].trial(np.random.default_rng([cfg.rng_seed, t]))
+            except Exception as exc:
+                failed[w] = (t, exc)
+                return
+
+    helper = threading.Thread(target=work, args=(1,)) if workers > 1 else None
+    try:
+        if helper is not None:
+            helper.start()
+        work(0)
+        if helper is not None:
+            helper.join()
+    except BaseException:
+        failed[0] = (-1, None)  # a Ctrl-C: the helper stops at its next trial
+        raise
+    exc = min(failed, key=lambda f: f[0])[1]
+    if exc is not None:
+        raise exc
+    realized_r_tx = math.log2(books[0].n_u) / cfg.n
+    return _summarize(cfg, records, books[0].r_c, realized_r_tx, books[0].n_c, books[0].n_u)
 
 
 class _Codebook:
-    """The chunked codebook draw of one run and the buffers its trials reuse."""
+    """The chunked codebook draw of one run's worker, in chunks of about
+    `cells` cells, and the buffers its trials reuse."""
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, cells):
         self.cfg = cfg
         self.nx = nx = len(cfg.p_x.alphabet)
         self.n_c, self.n_u, self.n_v = cfg.codebook_sizes()
         self.r_c = math.log2(self.n_c) / cfg.n
-        self.rows = max(1, _CHUNK_CELLS // cfg.n)
+        self.rows = max(1, cells // cfg.n)
         self.chunk = np.empty((min(self.rows, self.n_c), cfg.n), dtype=np.min_scalar_type(nx - 1))
-        self.scores = np.empty(len(self.chunk))
+        # the scores, one gathered column and the hits of a max
+        rows = len(self.chunk)
+        self.scores, self.term, self.hits = np.empty(rows), np.empty(rows), np.empty(rows, bool)
         self.logq = _log2_q_grid(cfg.q.log2_q(), cfg.n)
         self.spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
         # PCG64 outputs per row: half of one per layered-ps cell, rounded up,
@@ -206,7 +281,8 @@ class _Codebook:
         if cfg.mode == "layered-ps":
             self.row_outputs = -(-cfg.n // 2) if nx > 1 else 0
         else:
-            self.guide, self.uniforms = _iid_guide(cfg.p_x.probs), np.empty(self.chunk.size)
+            self.guide = _iid_guide(cfg.p_x.probs)
+            self.iid = _iid_scratch(self.guide, min(self.chunk.size, _IID_BLOCK))
             self.row_outputs = cfg.n
         self.spare = np.random.Generator(np.random.PCG64(0))
 
@@ -215,8 +291,11 @@ class _Codebook:
         out = self.chunk[:rows]
         if self.cfg.mode == "layered-ps":
             _draw_uniform(rng, self.nx, out)
-        else:
-            out.reshape(-1)[:] = _draw_iid(rng, self.guide, self.uniforms[:out.size])
+            return out
+        cells, block = out.reshape(-1), len(self.iid[0])
+        for lo in range(0, cells.size, block):
+            part = cells[lo:lo + block]
+            part[:] = _draw_iid(rng, self.guide, *(a[:part.size] for a in self.iid))
         return out
 
     def trial(self, rng):
@@ -239,14 +318,15 @@ class _Codebook:
         best, w_hat, ties = -math.inf, 0, 0
         for lo in range(0, self.n_c, self.rows):
             chunk = self.draw(rng, min(self.rows, self.n_c - lo))
-            scores = self.scores[:len(chunk)]
-            _score_rows(table, chunk, scores)
+            rows = len(chunk)
+            scores = self.scores[:rows]
+            _score_rows(table, chunk, scores, self.term[:rows])
             top = scores.max()
-            if top > best:
-                hits = scores == top
-                best, w_hat, ties = top, lo + int(hits.argmax()), int(np.count_nonzero(hits))
-            elif top == best:
-                ties += int(np.count_nonzero(scores == top))
+            if top >= best:
+                hits = np.equal(scores, top, out=self.hits[:rows])
+                if top > best:
+                    best, w_hat, ties = top, lo + int(hits.argmax()), 0
+                ties += int(np.count_nonzero(hits))
         if rng.bit_generator.state != end:
             raise RuntimeError("the codebook draw did not end where _seek placed u")
         w_error = not (ties == 1 and w_hat == u * n_v + v)
@@ -318,15 +398,19 @@ def _log2_q_grid(logq, n):
     return np.ldexp(np.round(np.ldexp(logq, k)), -k)
 
 
-def _score_rows(table, chunk, out):
-    """out[r] = sum over i of table[i, chunk[r, i]], added in position order.
+def _score_rows(table, chunk, out, term):
+    """out[r] = sum over i of table[i, chunk[r, i]], added in position order;
+    term is a float64 scratch array of out's length.
 
     On a _log2_q_grid table every partial sum is exact, so the score does
     not depend on the order of the terms.
     """
-    table[0].take(chunk[:, 0], out=out)
+    # "clip" writes out directly, where "raise" would buffer it; chunk holds
+    # valid indices only
+    table[0].take(chunk[:, 0], out=out, mode="clip")
     for i in range(1, chunk.shape[1]):
-        out += table[i].take(chunk[:, i])
+        table[i].take(chunk[:, i], out=term, mode="clip")
+        out += term
 
 
 def _summarize(cfg, records, r_c, r_tx, n_c, n_u):

@@ -300,6 +300,11 @@ def _iid_probs(nx, kind):
 # value and leaves the generator where choice leaves it, so that the
 # simulator's output does not depend on how the draw is computed.
 
+def _draw_iid(rng, guide, size):
+    """size indices from empirical._draw_iid, with fresh scratch arrays."""
+    return empirical._draw_iid(rng, guide, *empirical._iid_scratch(guide, size))
+
+
 class TestIidDrawOracle:
     @pytest.mark.parametrize("kind", ["dirichlet", "sparse", "zeros", "one-bucket", "subnormal"])
     @pytest.mark.parametrize("nx", [1, 2, 3, 4, 16, 64, 255, 256, 257, 1000])
@@ -308,8 +313,7 @@ class TestIidDrawOracle:
         guide = empirical._iid_guide(p)
         for size in (1, 7, 1001, (37, 13)):
             ours, ref = np.random.default_rng(9), np.random.default_rng(9)
-            u = np.empty(np.prod(size, dtype=int))
-            x = empirical._draw_iid(ours, guide, u).reshape(size)
+            x = _draw_iid(ours, guide, np.prod(size, dtype=int)).reshape(size)
             assert np.array_equal(x, ref.choice(nx, size=size, p=p)), size
             assert ours.bit_generator.state == ref.bit_generator.state
             assert ours.random() == ref.random()
@@ -333,7 +337,7 @@ class TestIidDrawOracle:
             def random(self, out):
                 out[:] = values
 
-        x = empirical._draw_iid(Replay(), empirical._iid_guide(p), np.empty(values.size))
+        x = _draw_iid(Replay(), empirical._iid_guide(p), values.size)
         assert np.array_equal(x, cdf.searchsorted(values, "right"))
 
     def test_only_an_entry_inside_a_bucket_opens_it(self):

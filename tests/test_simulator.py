@@ -1,4 +1,8 @@
+import dataclasses
+import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +29,7 @@ from psrates import (
     uniform_pmf,
 )
 from psrates import simulator
+from psrates.cli import main
 
 
 def layered_config(**overrides):
@@ -137,8 +142,12 @@ class TestPairwiseUnionBound:
         monkeypatch.setattr(simulator, "empirical_code_rate", counted)
         res = run(cfg)
         monkeypatch.undo()
+        # the workers may call in any order, so each record is matched to
+        # its own trial's pair
+        pairs = [_one_shot(cfg, t)[1] for t in range(cfg.trials)]
         assert len(calls) == 5
-        for pair, rec in zip(calls, res.per_trial):
+        assert all(calls.count(pair) == pairs.count(pair) for pair in pairs)
+        for pair, rec in zip(pairs, res.per_trial):
             assert rec.union_bound == pairwise_union_bound(pair, cfg.q, res.realized_r_c)
 
 
@@ -285,6 +294,13 @@ def _multiply_shift(rng, nx, shape):
 def _one_shot_trial(cfg, t):
     """Trial t replayed with the whole codebook drawn and scored at once:
     (encoding_failed, w_error, u_error, t_hat)."""
+    return _one_shot(cfg, t)[0]
+
+
+def _one_shot(cfg, t):
+    """(outcome, pair, winners, w): _one_shot_trial's outcome, the trial's
+    transmitted (x, y) pair, the indices of every maximizer and the
+    transmitted index."""
     nx = len(cfg.p_x.alphabet)
     n_c, n_u, n_v = cfg.codebook_sizes()
     rng = np.random.default_rng([cfg.rng_seed, t])
@@ -307,7 +323,8 @@ def _one_shot_trial(cfg, t):
     w_error = not (winners.size == 1 and winners[0] == w)
     pair = SequencePair([cfg.ch.input.symbols[i] for i in cb[w]],
                         [cfg.ch.output.symbols[j] for j in y])
-    return failed, w_error, (winners[0] // n_v) != u, empirical_code_rate(pair, cfg.q)
+    outcome = failed, w_error, (winners[0] // n_v) != u, empirical_code_rate(pair, cfg.q)
+    return outcome, pair, winners, w
 
 
 def _outcome(rec):
@@ -428,6 +445,148 @@ class TestStreamedCodebook:
             assert all(rec.w_error for rec in default.per_trial)
 
 
+def _run_on(monkeypatch, cfg, cpus):
+    """(run(cfg) on a host of `cpus` CPUs, the chunk rows of each worker)."""
+    books = []
+
+    class Recorded(simulator._Codebook):
+        def __init__(self, *args):
+            super().__init__(*args)
+            books.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(simulator.os, "cpu_count", lambda: cpus)
+        m.setattr(simulator, "_Codebook", Recorded)
+        return run(cfg), [book.rows for book in books]
+
+
+def _trial_seek(cfg, on_seek):
+    """A _seek that calls on_seek(t) with the trial t whose start state it
+    is given, then seeks."""
+    trial_of = {np.random.default_rng([cfg.rng_seed, t]).bit_generator.state["state"]["state"]: t
+                for t in range(cfg.trials)}
+    seek = simulator._seek
+
+    def traced(bg, start, outputs):
+        on_seek(trial_of[start["state"]["state"]])
+        seek(bg, start, outputs)
+
+    return traced
+
+
+class TestWorkers:
+    # trial t runs on worker t mod 2, and the two workers split the chunk
+    # cells; one worker, as on a 1-CPU host, must give the same result
+    @staticmethod
+    def _cases():
+        ch3 = mary_symmetric(3, 0.1)
+        streamed = _streamed_cases()
+        return {
+            "layered-odd-n-nx3": streamed["layered-odd-n-nx3"],
+            "classical-odd-n-nx3": layered_config(
+                ch=ch3, p_x=Pmf(ch3.input, np.array([0.5, 0.3, 0.2])),
+                q=likelihood_metric(ch3), mode="classical", n=13, r_c=0.6, r_tx=0.6,
+                eps_typ=0.3),
+            "noiseless-ties": streamed["noiseless-ties"],
+        }
+
+    @pytest.mark.parametrize("cells", ["default", 1])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7])
+    @pytest.mark.parametrize("case", ["layered-odd-n-nx3", "classical-odd-n-nx3",
+                                      "noiseless-ties"])
+    def test_two_workers_equal_one(self, monkeypatch, case, trials, cells):
+        cfg = dataclasses.replace(self._cases()[case], trials=trials)
+        if cells != "default":
+            monkeypatch.setattr(simulator, "_CHUNK_CELLS", cells)
+        serial, serial_rows = _run_on(monkeypatch, cfg, 1)
+        split, split_rows = _run_on(monkeypatch, cfg, 2)
+        assert split == serial and len(split.per_trial) == trials
+        workers = min(2, trials)
+        assert serial_rows == [max(1, simulator._CHUNK_CELLS // cfg.n)]
+        assert split_rows == [max(1, simulator._CHUNK_CELLS // workers // cfg.n)] * workers
+
+    def test_workers_switching_inside_every_chunk(self, monkeypatch):
+        # a switch interval of 1 us hands the interpreter lock between the
+        # workers many times per chunk
+        cfg = dataclasses.replace(self._cases()["noiseless-ties"], trials=7)
+        monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
+        serial, _ = _run_on(monkeypatch, cfg, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split, _ = _run_on(monkeypatch, cfg, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", [{2}, {3}, {3, 4}])
+    def test_lowest_failing_trial_is_raised(self, monkeypatch, cpus, failing):
+        # the error a serial loop raises, whichever worker fails first
+        cfg = dataclasses.replace(_streamed_cases()["layered-nx3"], trials=7)
+
+        def fail(t):
+            if t in failing:
+                raise RuntimeError(f"trial {t}")
+
+        monkeypatch.setattr(simulator, "_seek", _trial_seek(cfg, fail))
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+        with pytest.raises(RuntimeError, match=f"^trial {min(failing)}$"):
+            run(cfg)
+
+    def test_interrupt_stops_the_other_worker(self, monkeypatch):
+        # a Ctrl-C in trial 0, on the calling thread, while the helper runs
+        # trial 1: run raises at once, and the helper ends after trial 1
+        cfg = dataclasses.replace(_streamed_cases()["layered-nx3"], trials=7)
+        seen, in_trial_1, release = [], threading.Event(), threading.Event()
+
+        def interrupt(t):
+            seen.append(t)
+            if t == 0:
+                assert in_trial_1.wait(10)
+                raise KeyboardInterrupt
+            if t == 1 and not in_trial_1.is_set():
+                in_trial_1.set()
+                assert release.wait(10)
+
+        monkeypatch.setattr(simulator, "_seek", _trial_seek(cfg, interrupt))
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg)
+        release.set()
+        for thread in set(threading.enumerate()) - before:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert sorted(set(seen)) == [0, 1]
+
+
+class TestMessageErrors:
+    def test_ties_won_by_the_lowest_index(self, capsys):
+        # the message is decoded from the first maximizer, so a tie in which
+        # the transmitted codeword has the lowest index is a decode error
+        # and no message error; in classical mode that is the only gap
+        argv = ["simulate", "--channel", "mary:3,0.238", "--input", "uniform",
+                "--metric", "likelihood", "--mode", "classical", "--n", "7", "--rc", "0.89",
+                "--rtx", "0.89", "--eps-typ", "0.3", "--trials", "20", "--seed", "2"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["decode_error_rate"], out["message_error_rate"]) == (0.55, 0.45)
+        ch = mary_symmetric(3, 0.238)
+        cfg = SimConfig(uniform_pmf(ch.input), ch, likelihood_metric(ch), n=7, r_c=0.89,
+                        r_tx=0.89, eps_typ=0.3, trials=20, rng_seed=2, mode="classical")
+        res = run(cfg)
+        assert res.to_json_dict() == out
+        gap = []
+        for t, rec in enumerate(res.per_trial):
+            assert rec.w_error or not rec.u_error
+            if rec.w_error and not rec.u_error:
+                _, _, winners, w = _one_shot(cfg, t)
+                assert winners.size > 1 and winners[0] == w
+                gap.append(t)
+        assert len(gap) == 2
+
+
 def _short_rows(n, nx, mode, probs=None):
     """A run of about 64 codewords of length n on a |X| = nx input
     alphabet."""
@@ -450,7 +609,7 @@ class TestStreamPosition:
         probs = None if mode == "layered-ps" else np.random.default_rng(nx).dirichlet(np.ones(nx))
         start = np.random.default_rng([11, nx]).bit_generator.state
         for n in (1, 2, 13):
-            book = simulator._Codebook(_short_rows(n, nx, mode, probs))
+            book = simulator._Codebook(_short_rows(n, nx, mode, probs), simulator._CHUNK_CELLS)
             # ceil(n/2) outputs per layered-ps row, none for one symbol, and
             # one per classical cell
             outputs = n if mode == "classical" else -(-n // 2) if nx > 1 else 0
@@ -504,7 +663,7 @@ class TestStreamPosition:
         words = stream.random_raw(1024).view("<u4").astype(np.uint64)
         assert np.flatnonzero(words * 100 % 2 ** 32 < 2 ** 32 % 100).tolist() == [1115]
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
-        book, rng = simulator._Codebook(cfg), np.random.default_rng([cfg.rng_seed, 0])
+        book, rng = simulator._Codebook(cfg, simulator._CHUNK_CELLS), np.random.default_rng([cfg.rng_seed, 0])
         drawn = [book.draw(rng, min(book.rows, book.n_c - lo)).copy()
                  for lo in range(0, book.n_c, book.rows)]
         expected = _multiply_shift(np.random.default_rng([cfg.rng_seed, 0]), 100, (book.n_c, cfg.n))
@@ -563,6 +722,13 @@ def _bits(a):
     return a.view(np.uint64)
 
 
+def _score_rows(table, chunk):
+    """simulator._score_rows of the chunk, with fresh scratch arrays."""
+    out, term = np.empty(len(chunk)), np.empty(len(chunk))
+    simulator._score_rows(table, chunk, out, term)
+    return out
+
+
 class TestScoreOracle:
     @staticmethod
     def _mixed_table(rng, n, nx):
@@ -601,8 +767,7 @@ class TestScoreOracle:
             table[rng.integers(n, size=2), 0] = -np.inf
             table = simulator._log2_q_grid(table, n)
             chunk = rng.integers(4, size=(33, n)).astype(np.uint8)
-            out = np.empty(len(chunk))
-            simulator._score_rows(table, chunk, out)
+            out = _score_rows(table, chunk)
             terms = table[np.arange(n), chunk]
             expected = np.array([math.fsum(row) for row in terms.tolist()])
             assert np.array_equal(_bits(out), _bits(expected)), n
@@ -613,8 +778,7 @@ class TestScoreOracle:
         table = simulator._log2_q_grid(self._mixed_table(rng, n, 2), n)
         chunk = rng.integers(2, size=(20, n)).astype(np.uint8)
         chunk[11] = chunk[3]
-        out = np.empty(len(chunk))
-        simulator._score_rows(table, chunk, out)
+        out = _score_rows(table, chunk)
         assert _bits(out)[11] == _bits(out)[3]
         assert np.array_equal(_bits(out), _bits(table[np.arange(n), chunk].sum(axis=1)))
 
@@ -625,7 +789,8 @@ class TestScoreOracle:
         # ties count as errors only if such codewords score bit-equal
         ch = bsc(eps)
         book = simulator._Codebook(layered_config(ch=ch, q=likelihood_metric(ch), n=n,
-                                                  r_c=0.5, r_tx=0.25, trials=1))
+                                                  r_c=0.5, r_tx=0.25, trials=1),
+                                   simulator._CHUNK_CELLS)
         rng = np.random.default_rng(n)
         y = rng.integers(2, size=n)
         table = np.ascontiguousarray(book.logq[:, y].T)
@@ -634,8 +799,7 @@ class TestScoreOracle:
             chunk = (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
         else:
             chunk = rng.integers(2, size=(2 ** 16, n)).astype(np.uint8)
-        out = np.empty(len(chunk))
-        simulator._score_rows(table, chunk, out)
+        out = _score_rows(table, chunk)
         distance = np.count_nonzero(chunk != y, axis=1)
         for d in np.unique(distance):
             assert np.unique(_bits(out[distance == d])).size == 1, d
