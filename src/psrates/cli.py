@@ -276,8 +276,13 @@ def cmd_estimate_tc(args):
         p_x, ch, q, args.n, args.trials, _seed(args), composition=args.composition
     )
     t_c = math.log2(len(ch.input)) - rates.uncertainty(p_x, ch, q)
-    diff = res.mean - t_c  # a std_error of 0: every trial gave the same value
-    z = diff / res.std_error if res.std_error > 0 else math.copysign(math.inf, diff) if diff else 0.0
+    diff = res.mean - t_c
+    if res.mean == t_c:
+        z = 0.0
+    elif res.std_error > 0 and math.isfinite(diff):
+        z = diff / res.std_error
+    else:  # every trial gave the same value, or the estimate or t_c is -inf
+        z = math.copysign(math.inf, diff)
     _emit_json({
         "mean": res.mean,
         "std_error": res.std_error,

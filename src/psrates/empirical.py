@@ -15,8 +15,12 @@ from .core import NumericalCheckError
 from .rates import _check_metric
 from .typicality import _check_block_length
 
-# Buckets of the guide table that _draw_iid looks uniforms up in.
+# Buckets of the guide table that _IidDraw looks uniforms up in.
 _GUIDE_BUCKETS = 1 << 16
+# Draws per block of _IidDraw's uniforms and bucket indices; a smaller block
+# saves memory, but its extra calls cost time while another simulator worker
+# holds the GIL.
+_IID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,47 +121,47 @@ def sample_channel_outputs(ch, x_idx, rng):
     return np.minimum(y, len(ch.output) - 1)
 
 
-def _iid_guide(probs):
-    """(scaled, table) for _draw_iid: rng.choice's cdf of probs times
-    _GUIDE_BUCKETS, an exact scaling, and for each bucket [b, b + 1) the
-    number of scaled entries <= every point of it, or -1 when an entry lies
-    inside it. Costs O(|X| + _GUIDE_BUCKETS) time and 1-2 bytes per bucket."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    scaled = cdf * _GUIDE_BUCKETS
-    # entry k counts in every bucket from floor(scaled[k]) on
-    floor = np.floor(scaled)
-    steps = np.diff(floor.astype(np.intp), prepend=0)
-    table = np.repeat(np.arange(len(probs), dtype=np.min_scalar_type(-len(probs))), steps)
-    table[floor[floor != scaled].astype(np.intp)] = -1
-    return scaled, table
+class _IidDraw:
+    """Indices drawn i.i.d. from probs: the values rng.choice(len(probs),
+    size=m, p=probs) returns, leaving rng where choice leaves it.
 
-
-def _iid_scratch(guide, size):
-    """(u, bucket, out): _draw_iid's arrays for `size` draws."""
-    return np.empty(size), np.empty(size, np.intp), np.empty(size, guide[1].dtype)
-
-
-def _draw_iid(rng, guide, u, bucket, out):
-    """Fill out with out.size indices drawn i.i.d. from the guide's pmf: the
-    values rng.choice(len(probs), size=out.size, p=probs) returns, leaving
-    rng where choice leaves it. Returns out. u (float64) and bucket (intp)
-    are 1-D scratch arrays of out's size, and out has the guide table's
-    dtype (_iid_scratch).
-
-    choice computes cdf.searchsorted(rng.random(out.size), "right"), the
-    number of cdf entries <= each uniform. Here the same uniforms, scaled
-    exactly, take that number from the guide table by their integer part;
-    only those in a bucket with a cdf entry inside it are searched.
+    choice computes cdf.searchsorted(rng.random(m), "right"), the number of
+    cdf entries <= each uniform. Here the same uniforms, scaled exactly by
+    _GUIDE_BUCKETS, take that number from a guide table by their integer
+    part; only those in a bucket with a cdf entry inside it are searched.
+    The table takes 1-2 bytes per bucket, and the uniforms and bucket
+    indices 16 bytes per draw of a block of min(size, _IID_BLOCK) draws.
     """
-    scaled, table = guide
-    rng.random(out=u)
-    u *= _GUIDE_BUCKETS
-    np.copyto(bucket, u, casting="unsafe")
-    table.take(bucket, out=out, mode="clip")
-    open_ = np.flatnonzero(out < 0)
-    out[open_] = scaled.searchsorted(u[open_], "right")
-    return out
+
+    def __init__(self, probs, size):
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self.scaled = cdf * _GUIDE_BUCKETS
+        # for each bucket [b, b + 1), the number of scaled entries <= every
+        # point of it, or -1 when an entry lies inside it: entry k counts in
+        # every bucket from floor(scaled[k]) on
+        floor = np.floor(self.scaled)
+        steps = np.diff(floor.astype(np.intp), prepend=0)
+        self.table = np.repeat(np.arange(len(probs), dtype=np.min_scalar_type(-len(probs))), steps)
+        self.table[floor[floor != self.scaled].astype(np.intp)] = -1
+        block = min(size, _IID_BLOCK)
+        self.u, self.bucket = np.empty(block), np.empty(block, np.intp)
+
+    def fill(self, rng, out):
+        """Fill the contiguous array out, of the table's dtype, with out.size
+        draws from rng, block by block; returns out."""
+        cells, block = out.reshape(-1), len(self.u)
+        for lo in range(0, cells.size, block):
+            part = cells[lo:lo + block]
+            u, bucket = self.u[:part.size], self.bucket[:part.size]
+            rng.random(out=u)
+            u *= _GUIDE_BUCKETS
+            np.copyto(bucket, u, casting="unsafe")
+            self.table.take(bucket, out=part, mode="clip")
+            # the bucket indices are spent; their bytes hold the open mask
+            open_ = np.flatnonzero(np.less(part, 0, out=bucket.view(bool)[:part.size]))
+            part[open_] = self.scaled.searchsorted(u[open_], "right")
+        return out
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,9 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
 
     composition is "iid" (entries drawn from P_X) or "exact" (each codeword
     has the largest-remainder composition of n * P_X, randomly permuted).
-    p_x and q must be on ch's alphabets.
+    p_x and q must be on ch's alphabets. The standard error is inf for one
+    trial; when a trial gives -inf (q vanishes at a sent position) it is 0.0
+    if every trial gave the same value and inf otherwise.
     """
     _check_input(p_x, ch)
     _check_metric(ch, q)
@@ -181,20 +187,20 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
     if composition not in ("iid", "exact"):
         raise ValueError(f"unknown composition mode {composition!r}")
     if composition == "iid":
-        guide = _iid_guide(p_x.probs)
-        scratch = _iid_scratch(guide, n)
+        draw = _IidDraw(p_x.probs, n)
+        x = np.empty(n, draw.table.dtype)
     ratio = q.log2_ratio()
     values = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([rng_seed, t])
         if composition == "iid":
-            x = _draw_iid(rng, guide, *scratch)
+            draw.fill(rng, x)
         else:
             x = exact_composition_sequence(p_x, n, rng)
         y = sample_channel_outputs(ch, x, rng)
         values[t] = ratio[x, y].mean()
     mean = float(values.mean())
-    if trials < 2:
-        return MonteCarloResult(mean, math.inf)
-    se = float(values.std(ddof=1) / math.sqrt(trials))
-    return MonteCarloResult(mean, se)
+    if trials < 2 or not np.isfinite(values).all():
+        agree = trials > 1 and (values == values[0]).all()
+        return MonteCarloResult(mean, 0.0 if agree else math.inf)
+    return MonteCarloResult(mean, float(values.std(ddof=1) / math.sqrt(trials)))

@@ -18,14 +18,14 @@ drawn. It keeps the running maximum score, the first index that reaches it
 and how many scores equal it, which is the whole codebook's max /
 flatnonzero rule. Each worker owns a chunk of _CHUNK_CELLS // W cells, so the
 workers together hold _CHUNK_CELLS cells whatever W is. Every per-chunk
-buffer is allocated once per run, on the calling thread. As tracemalloc
-measures a run's peak, a chunk cell takes 1-2 bytes, and its draw 4 more for
-layered-ps (the raw outputs), or 12 when |X| is not a power of two (with
-their uint64 products). The classical draw turns rng.random's uniforms into
-bucket indices in blocks of _IID_BLOCK cells, through buffers of about 17
-bytes per block cell. Scoring adds about 25/n per cell: the scores, one
-gathered column, its intp index and a bool mask. Beyond that a trial holds
-O(n).
+buffer is allocated once per run, on the calling thread: a chunk cell takes
+1-2 bytes, and scoring 25/n more (the scores, one gathered column, its intp
+indices and a bool mask). The classical draw writes into the chunk through
+16 bytes per cell of a block of at most _IID_BLOCK cells (empirical._IidDraw).
+The layered-ps draw's raw outputs take 4 bytes per cell drawn, 12 when |X|
+is not a power of two; the workers draw under one lock, so no buffer's life
+depends on how they interleave, and neither does the peak. Beyond that a
+run holds O(|X| |Y|) for the decoder table and a trial O(n + |X| |Y|).
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare
@@ -44,7 +44,7 @@ less than 2^-32, and by nothing when |X| is a power of two. For such |X| and
 even n the draw equals rng.integers(|X|, size=(rows, n)); for odd n it does
 not. The classical draw takes the same rng.random uniforms as
 rng.choice and maps them to choice's indices through a guide table over their
-leading 16 bits (empirical._draw_iid), built once per run. Scores are exact
+leading 16 bits (empirical._IidDraw), built once per worker. Scores are exact
 sums: the decoder's log2 q table is rounded once per run to the nearest
 multiple of 2^-k, for the largest k at which any sum of n finite entries is
 exact in float64, and -inf stays -inf (_log2_q_grid). Each score adds its n
@@ -78,14 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _check_input
-from .empirical import (
-    SequencePair,
-    _draw_iid,
-    _iid_guide,
-    _iid_scratch,
-    empirical_code_rate,
-    sample_channel_outputs,
-)
+from .empirical import SequencePair, _IidDraw, empirical_code_rate, sample_channel_outputs
 from .rates import _check_metric
 from .typicality import TypicalSpec, is_typical_counts
 
@@ -94,10 +87,6 @@ FEASIBILITY_CAP = 22
 # Cells per chunk of the codebook draw and of decode scoring, over all
 # workers.
 _CHUNK_CELLS = 1 << 18
-# Cells per block of the classical draw's uniforms and bucket indices; a
-# smaller block saves memory, but its extra calls cost time while the other
-# worker holds the GIL.
-_IID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,11 +103,13 @@ class SimConfig:
     trials: int
     rng_seed: int
     mode: str = "layered-ps"
+    # the typical set that layered-ps encoding looks for, built once here
+    spec: TypicalSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_input(self.p_x, self.ch)
         _check_metric(self.ch, self.q)
-        TypicalSpec(self.p_x, self.n, self.eps_typ)
+        object.__setattr__(self, "spec", TypicalSpec(self.p_x, self.n, self.eps_typ))
         for name, rate in (("r_c", self.r_c), ("r_tx", self.r_tx)):
             if not math.isfinite(rate):
                 raise ValueError(f"{name} must be finite, got {rate}")
@@ -227,7 +218,10 @@ def run(cfg):
     stops the other worker at its next trial.
     """
     workers = min(2, os.cpu_count() or 1, cfg.trials)
-    books = [_Codebook(cfg, _CHUNK_CELLS // workers) for _ in range(workers)]
+    # the workers share the decoder table, and a lock under which their
+    # layered-ps draws hold their raw outputs one at a time
+    logq, lock = _log2_q_grid(cfg.q.log2_q(), cfg.n), threading.Lock()
+    books = [_Codebook(cfg, _CHUNK_CELLS // workers, logq, lock) for _ in range(workers)]
     # a worker writes only its own trials' records and its own entry of
     # failed: its first failed trial and the exception
     records = [None] * cfg.trials
@@ -262,40 +256,38 @@ def run(cfg):
 
 class _Codebook:
     """The chunked codebook draw of one run's worker, in chunks of about
-    `cells` cells, and the buffers its trials reuse."""
+    `cells` cells, and the buffers its trials reuse. logq is the run's
+    _log2_q_grid table and lock the run's draw lock."""
 
-    def __init__(self, cfg, cells):
-        self.cfg = cfg
+    def __init__(self, cfg, cells, logq, lock):
+        self.cfg, self.logq, self.lock = cfg, logq, lock
         self.nx = nx = len(cfg.p_x.alphabet)
         self.n_c, self.n_u, self.n_v = cfg.codebook_sizes()
         self.r_c = math.log2(self.n_c) / cfg.n
         self.rows = max(1, cells // cfg.n)
-        self.chunk = np.empty((min(self.rows, self.n_c), cfg.n), dtype=np.min_scalar_type(nx - 1))
-        # the scores, one gathered column and the hits of a max
-        rows = len(self.chunk)
-        self.scores, self.term, self.hits = np.empty(rows), np.empty(rows), np.empty(rows, bool)
-        self.logq = _log2_q_grid(cfg.q.log2_q(), cfg.n)
-        self.spec = TypicalSpec(cfg.p_x, cfg.n, cfg.eps_typ)
+        rows = min(self.rows, self.n_c)
         # PCG64 outputs per row: half of one per layered-ps cell, rounded up,
         # none for a single symbol; one per classical uniform
         if cfg.mode == "layered-ps":
             self.row_outputs = -(-cfg.n // 2) if nx > 1 else 0
+            self.chunk = np.empty((rows, cfg.n), np.min_scalar_type(nx - 1))
         else:
-            self.guide = _iid_guide(cfg.p_x.probs)
-            self.iid = _iid_scratch(self.guide, min(self.chunk.size, _IID_BLOCK))
             self.row_outputs = cfg.n
+            self.iid = _IidDraw(cfg.p_x.probs, rows * cfg.n)
+            self.chunk = np.empty((rows, cfg.n), self.iid.table.dtype)
+        # the scores, one gathered column, its indices and the hits of a max
+        self.scores, self.term, self.col = np.empty(rows), np.empty(rows), np.empty(rows, np.intp)
+        self.hits = np.empty(rows, bool)
         self.spare = np.random.Generator(np.random.PCG64(0))
 
     def draw(self, rng, rows):
         """The next `rows` codebook rows from rng, in the chunk buffer."""
         out = self.chunk[:rows]
         if self.cfg.mode == "layered-ps":
-            _draw_uniform(rng, self.nx, out)
-            return out
-        cells, block = out.reshape(-1), len(self.iid[0])
-        for lo in range(0, cells.size, block):
-            part = cells[lo:lo + block]
-            part[:] = _draw_iid(rng, self.guide, *(a[:part.size] for a in self.iid))
+            with self.lock:
+                _draw_uniform(rng, self.nx, out)
+        else:
+            self.iid.fill(rng, out)
         return out
 
     def trial(self, rng):
@@ -320,7 +312,7 @@ class _Codebook:
             chunk = self.draw(rng, min(self.rows, self.n_c - lo))
             rows = len(chunk)
             scores = self.scores[:rows]
-            _score_rows(table, chunk, scores, self.term[:rows])
+            _score_rows(table, chunk, scores, self.term[:rows], self.col[:rows])
             top = scores.max()
             if top >= best:
                 hits = np.equal(scores, top, out=self.hits[:rows])
@@ -348,7 +340,7 @@ class _Codebook:
         while v < self.n_v:
             # the scan mostly stops early, so the pieces start small
             for row in self.draw(gen, min(take, self.n_v - v)):
-                if is_typical_counts(np.bincount(row, minlength=self.nx), self.spec):
+                if is_typical_counts(np.bincount(row, minlength=self.nx), self.cfg.spec):
                     return False, v, row.copy()
                 if first is None:
                     first = row.copy()
@@ -398,19 +390,21 @@ def _log2_q_grid(logq, n):
     return np.ldexp(np.round(np.ldexp(logq, k)), -k)
 
 
-def _score_rows(table, chunk, out, term):
+def _score_rows(table, chunk, out, term, col):
     """out[r] = sum over i of table[i, chunk[r, i]], added in position order;
-    term is a float64 scratch array of out's length.
+    term (float64) and col (intp) are scratch arrays of out's length.
 
     On a _log2_q_grid table every partial sum is exact, so the score does
     not depend on the order of the terms.
     """
-    # "clip" writes out directly, where "raise" would buffer it; chunk holds
-    # valid indices only
-    table[0].take(chunk[:, 0], out=out, mode="clip")
-    for i in range(1, chunk.shape[1]):
-        table[i].take(chunk[:, i], out=term, mode="clip")
-        out += term
+    # take would copy each column to intp in a fresh array; "clip" writes
+    # out directly, where "raise" would buffer it, and chunk holds valid
+    # indices only
+    for i in range(chunk.shape[1]):
+        np.copyto(col, chunk[:, i])
+        table[i].take(col, out=term if i else out, mode="clip")
+        if i:
+            out += term
 
 
 def _summarize(cfg, records, r_c, r_tx, n_c, n_u):

@@ -7,7 +7,7 @@ without tolerance, and block lengths in the thousands stay cheap.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,11 +16,18 @@ from .core import Pmf
 
 @dataclass(frozen=True)
 class TypicalSpec:
-    """Distribution, sequence length and tolerance defining a typical set."""
+    """Distribution, sequence length and tolerance defining a typical set.
+
+    count_ranges holds, for each symbol a, the integer range [lo, hi] of the
+    counts k in 0..n with (1 - eps) * P_X(a) <= k / n <= (1 + eps) * P_X(a),
+    the one evaluation of the membership rule; lo > hi when there is none.
+    k / n never decreases in k, so those counts are a range.
+    """
 
     p_x: Pmf
     n: int
     eps_typ: float
+    count_ranges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_block_length(self.n)
@@ -28,6 +35,10 @@ class TypicalSpec:
             raise ValueError(
                 f"typicality tolerance eps_typ must be finite and non-negative, got {self.eps_typ}"
             )
+        freq = np.arange(self.n + 1) / self.n
+        lo = freq.searchsorted((1 - self.eps_typ) * self.p_x.probs, "left")
+        hi = freq.searchsorted((1 + self.eps_typ) * self.p_x.probs, "right") - 1
+        object.__setattr__(self, "count_ranges", tuple(zip(lo.tolist(), hi.tolist())))
 
 
 def _check_block_length(n):
@@ -36,24 +47,6 @@ def _check_block_length(n):
         raise ValueError(f"block length n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"block length n must be at least 1, got {n}")
-
-
-def _count_bounds(spec):
-    """Per-symbol integer count ranges [lo_a, hi_a] matching the float
-    membership test exactly."""
-    n, eps = spec.n, spec.eps_typ
-    bounds = []
-    for p in spec.p_x.probs:
-        lo_target = (1 - eps) * p
-        hi_target = (1 + eps) * p
-        lo = max(0, math.ceil(lo_target * n) - 1)
-        while lo / n < lo_target:
-            lo += 1
-        hi = min(n, math.floor(hi_target * n) + 1)
-        while hi / n > hi_target:
-            hi -= 1
-        bounds.append((lo, hi))
-    return bounds
 
 
 def is_typical(x_seq, spec):
@@ -69,14 +62,11 @@ def is_typical(x_seq, spec):
 def is_typical_counts(counts, spec):
     """True iff every count k_a has k_a / n within (1 +- eps) * P_X(a).
 
-    counts[a] counts the a-th alphabet symbol. This is the one membership
+    counts[a] counts the a-th alphabet symbol in a length-n sequence, and is
+    checked against spec.count_ranges. This is the one membership
     predicate; is_typical counts a sequence's symbols and delegates here.
     """
-    n, eps = spec.n, spec.eps_typ
-    for k, p in zip(counts, spec.p_x.probs):
-        if not (1 - eps) * p <= k / n <= (1 + eps) * p:
-            return False
-    return True
+    return all(lo <= k <= hi for k, (lo, hi) in zip(counts, spec.count_ranges))
 
 
 def typical_set_size(spec):
@@ -89,8 +79,7 @@ def typical_set_size(spec):
     symbol is evaluated at r = n alone. Binomials are stepped along k, so the
     cost is at most O(|X| n^2) big-integer multiply-adds.
     """
-    bounds = _count_bounds(spec)
-    n = spec.n
+    bounds, n = spec.count_ranges, spec.n
     # f[r - r_min] for the suffix processed so far; starts with the last symbol
     r_min, r_max = bounds[-1]
     f = [1] * (r_max - r_min + 1)

@@ -91,6 +91,15 @@ class TestRatesCommand:
 
 
 class TestSweepCommand:
+    def test_zero_steps_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--channel", "bsc:0.1", "--input", "uniform",
+            "--metric", "likelihood", "--param", "eps",
+            "--start", "0.1", "--stop", "0.2", "--steps", "0",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --steps: must be at least 1\n"
+
     def test_schema_and_shape(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--channel", "bsc:0.1", "--input", "uniform",
@@ -367,6 +376,20 @@ class TestEstimateTcCommand:
         d = json.loads(out)
         assert (d["mean"], d["std_error"], d["t_c_closed_form"]) == (1.0, 0.0, 1.0)
         assert d["z_score"] == 0.0
+
+    def test_minus_infinite_estimate_at_minus_infinite_t_c(self, capsys):
+        # hamming on a BSC vanishes off the sent symbol, so t_c and every
+        # trial with a channel error read -inf: no NaN and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "estimate-tc", "--channel", "bsc:0.1", "--input", "0.5,0.5",
+                "--metric", "hamming", "--n", "10", "--trials", "3", "--seed", "1",
+            )
+        assert code == 0 and err == "" and "NaN" not in out
+        d = json.loads(out)
+        assert d["mean"] == d["t_c_closed_form"] == -math.inf
+        assert d["std_error"] in (0.0, math.inf) and d["z_score"] == 0.0
 
     @pytest.mark.parametrize("mean, z", [(0.9, -math.inf), (1.1, math.inf)])
     def test_zero_std_error_off_t_c_has_signed_infinite_z_score(

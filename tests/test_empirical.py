@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,17 @@ class TestMonteCarloTc:
         )
         assert res.std_error == math.inf
 
+    @pytest.mark.parametrize("eps, n, se", [(0.5, 40, 0.0), (0.1, 4, math.inf)])
+    def test_minus_infinite_trials_have_no_nan_std_error(self, eps, n, se):
+        # q vanishes off the sent symbol: a trial with a channel error reads
+        # -inf; all of them (eps 0.5, n 40) or some of them (eps 0.1, n 4)
+        ch = bsc(eps)
+        q = Metric(ch.input, ch.output, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = monte_carlo_t_c(uniform_pmf(ch.input), ch, q, n=n, trials=20, rng_seed=1)
+        assert (res.mean, res.std_error) == (-math.inf, se)
+
     def test_validation(self):
         ch = bsc(0.11)
         p = uniform_pmf(ch.input)
@@ -262,13 +274,13 @@ class TestMonteCarloTc:
         ch = bsc(0.1)
         p = Pmf(ch.input, np.array([0.8, 0.2]))
         q = posterior_metric(p, ch)
-        guide, builds = empirical._iid_guide, []
+        draw, builds = empirical._IidDraw, []
 
-        def counted(probs):
+        def counted(probs, size):
             builds.append(probs)
-            return guide(probs)
+            return draw(probs, size)
 
-        monkeypatch.setattr(empirical, "_iid_guide", counted)
+        monkeypatch.setattr(empirical, "_IidDraw", counted)
         res = monte_carlo_t_c(p, ch, q, n=300, trials=7, rng_seed=5)
         assert len(builds) == 1
         values = []
@@ -300,9 +312,10 @@ def _iid_probs(nx, kind):
 # value and leaves the generator where choice leaves it, so that the
 # simulator's output does not depend on how the draw is computed.
 
-def _draw_iid(rng, guide, size):
-    """size indices from empirical._draw_iid, with fresh scratch arrays."""
-    return empirical._draw_iid(rng, guide, *empirical._iid_scratch(guide, size))
+def _draw_iid(rng, p, size):
+    """An array of the given size filled by empirical._IidDraw."""
+    draw = empirical._IidDraw(p, np.prod(size, dtype=int))
+    return draw.fill(rng, np.empty(size, draw.table.dtype))
 
 
 class TestIidDrawOracle:
@@ -310,14 +323,27 @@ class TestIidDrawOracle:
     @pytest.mark.parametrize("nx", [1, 2, 3, 4, 16, 64, 255, 256, 257, 1000])
     def test_draw_is_choice(self, nx, kind):
         p = _iid_probs(nx, kind)
-        guide = empirical._iid_guide(p)
         for size in (1, 7, 1001, (37, 13)):
             ours, ref = np.random.default_rng(9), np.random.default_rng(9)
-            x = _draw_iid(ours, guide, np.prod(size, dtype=int)).reshape(size)
+            x = _draw_iid(ours, p, size)
             assert np.array_equal(x, ref.choice(nx, size=size, p=p)), size
             assert ours.bit_generator.state == ref.bit_generator.state
             assert ours.random() == ref.random()
             assert ours.integers(1000) == ref.integers(1000)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_blocks_continue_the_stream(self, monkeypatch, block):
+        # blocks smaller than the draw, the last one partial, fill the
+        # array the one choice call fills, and the next fill goes on from there
+        monkeypatch.setattr(empirical, "_IID_BLOCK", block)
+        p = _iid_probs(257, "dirichlet")
+        draw = empirical._IidDraw(p, 37 * 13)
+        assert len(draw.u) == block
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for size in ((37, 13), (3, 13)):
+            x = draw.fill(ours, np.empty(size, draw.table.dtype))
+            assert np.array_equal(x, ref.choice(257, size=size, p=p)), size
+        assert ours.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["dirichlet", "zeros", "one-bucket", "subnormal"])
     def test_uniforms_on_cdf_entries_and_bucket_edges(self, kind):
@@ -337,13 +363,13 @@ class TestIidDrawOracle:
             def random(self, out):
                 out[:] = values
 
-        x = _draw_iid(Replay(), empirical._iid_guide(p), values.size)
+        x = _draw_iid(Replay(), p, values.size)
         assert np.array_equal(x, cdf.searchsorted(values, "right"))
 
     def test_only_an_entry_inside_a_bucket_opens_it(self):
         # an entry on the edge b counts from bucket b on and opens none
-        _, table = empirical._iid_guide(np.array([0.25, 0.25, 0.5]))
+        table = empirical._IidDraw(np.array([0.25, 0.25, 0.5]), 1).table
         b = empirical._GUIDE_BUCKETS // 4
         assert table[b - 1] == 0 and table[b] == 1 and not np.any(table < 0)
-        _, table = empirical._iid_guide(np.array([1e-6, 1 - 1e-6]))
+        table = empirical._IidDraw(np.array([1e-6, 1 - 1e-6]), 1).table
         assert table[0] == -1 and np.all(table[1:] == 1)

@@ -21,19 +21,21 @@ def test_checker_selftest():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _benchmark_jobs():
-    """(workload, job, golden sha256 of its stdout) for every benchmark job
-    at the golden seed, read from perfbench/ without importing its runner."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
-    return [(name, job, golden["digests"][name][job.name])
-            for name, build in workloads.WORKLOADS.items()
-            for job in build(golden["seed"])]
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path without importing its runner."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-_JOBS = _benchmark_jobs()
+_WORKLOADS = _perfbench_module("workloads")
+_GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+# (workload, job, golden sha256 of its stdout) for every benchmark job at the
+# golden seed
+_JOBS = [(name, job, _GOLDEN["digests"][name][job.name])
+         for name, build in _WORKLOADS.WORKLOADS.items()
+         for job in build(_GOLDEN["seed"])]
 
 
 @pytest.mark.parametrize("workload, job, digest", _JOBS, ids=[job.name for _, job, _ in _JOBS])
@@ -42,3 +44,18 @@ def test_benchmark_job_matches_golden_digest(capsys, workload, job, digest):
     assert main(list(job.argv)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest, f"{workload}: {job.name} output changed"
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS.WORKLOADS))
+def test_traced_pass_sees_expected_spans(capsys, workload):
+    # the benchmark's traced pass fails a workload whose required spans are
+    # missing, for instance when a refactor stops calling a traced function
+    spans = _perfbench_module("spans")
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        for job in _WORKLOADS.WORKLOADS[workload](_GOLDEN["seed"]):
+            assert main(list(job.argv)) == 0
+    capsys.readouterr()
+    seen = {s.name for s in tracer.spans}
+    missing = [name for name in _WORKLOADS.EXPECTED_SPANS[workload] if name not in seen]
+    assert not missing, f"{workload}: spans missing from the traced pass: {missing}"

@@ -445,6 +445,12 @@ class TestStreamedCodebook:
             assert all(rec.w_error for rec in default.per_trial)
 
 
+def _codebook(cfg):
+    """A one-worker simulator._Codebook of cfg, as run builds it."""
+    return simulator._Codebook(cfg, simulator._CHUNK_CELLS,
+                               simulator._log2_q_grid(cfg.q.log2_q(), cfg.n), threading.Lock())
+
+
 def _run_on(monkeypatch, cfg, cpus):
     """(run(cfg) on a host of `cpus` CPUs, the chunk rows of each worker)."""
     books = []
@@ -609,7 +615,7 @@ class TestStreamPosition:
         probs = None if mode == "layered-ps" else np.random.default_rng(nx).dirichlet(np.ones(nx))
         start = np.random.default_rng([11, nx]).bit_generator.state
         for n in (1, 2, 13):
-            book = simulator._Codebook(_short_rows(n, nx, mode, probs), simulator._CHUNK_CELLS)
+            book = _codebook(_short_rows(n, nx, mode, probs))
             # ceil(n/2) outputs per layered-ps row, none for one symbol, and
             # one per classical cell
             outputs = n if mode == "classical" else -(-n // 2) if nx > 1 else 0
@@ -663,7 +669,7 @@ class TestStreamPosition:
         words = stream.random_raw(1024).view("<u4").astype(np.uint64)
         assert np.flatnonzero(words * 100 % 2 ** 32 < 2 ** 32 % 100).tolist() == [1115]
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7 * cfg.n + 3)
-        book, rng = simulator._Codebook(cfg, simulator._CHUNK_CELLS), np.random.default_rng([cfg.rng_seed, 0])
+        book, rng = _codebook(cfg), np.random.default_rng([cfg.rng_seed, 0])
         drawn = [book.draw(rng, min(book.rows, book.n_c - lo)).copy()
                  for lo in range(0, book.n_c, book.rows)]
         expected = _multiply_shift(np.random.default_rng([cfg.rng_seed, 0]), 100, (book.n_c, cfg.n))
@@ -725,7 +731,7 @@ def _bits(a):
 def _score_rows(table, chunk):
     """simulator._score_rows of the chunk, with fresh scratch arrays."""
     out, term = np.empty(len(chunk)), np.empty(len(chunk))
-    simulator._score_rows(table, chunk, out, term)
+    simulator._score_rows(table, chunk, out, term, np.empty(len(chunk), np.intp))
     return out
 
 
@@ -788,9 +794,8 @@ class TestScoreOracle:
         # joint type with it, with their mismatches in different positions;
         # ties count as errors only if such codewords score bit-equal
         ch = bsc(eps)
-        book = simulator._Codebook(layered_config(ch=ch, q=likelihood_metric(ch), n=n,
-                                                  r_c=0.5, r_tx=0.25, trials=1),
-                                   simulator._CHUNK_CELLS)
+        book = _codebook(layered_config(ch=ch, q=likelihood_metric(ch), n=n,
+                                        r_c=0.5, r_tx=0.25, trials=1))
         rng = np.random.default_rng(n)
         y = rng.integers(2, size=n)
         table = np.ascontiguousarray(book.logq[:, y].T)

@@ -15,8 +15,6 @@ from psrates import (
     typical_set_size,
     uniform_pmf,
 )
-from psrates.typicality import _count_bounds
-
 A2 = Alphabet((0, 1))
 A3 = Alphabet((0, 1, 2))
 
@@ -24,7 +22,7 @@ A3 = Alphabet((0, 1, 2))
 def recursive_size(spec):
     """Composition enumeration, the counting method before the dynamic
     program: sum the multinomial of every feasible composition."""
-    bounds = _count_bounds(spec)
+    bounds = spec.count_ranges
     n = spec.n
     total = 0
     counts = [0] * len(bounds)
@@ -79,6 +77,25 @@ class TestSpec:
     def test_numpy_integer_length_accepted(self):
         p = Pmf(A2, np.array([0.5, 0.5]))
         assert typical_set_size(TypicalSpec(p, np.int64(8), 0.0)) == math.comb(8, 4)
+
+    def test_count_ranges_are_the_float_rule(self):
+        # each range holds exactly the counts k in 0..n that the rule's float
+        # comparisons admit, also where k / n lands on a bound
+        rng = np.random.default_rng(45)
+        for trial in range(300):
+            nx = int(rng.integers(1, 6))
+            probs = rng.dirichlet(np.ones(nx))
+            if trial % 3 == 0:
+                # probabilities that n * P_X(a) meets exactly
+                probs = rng.integers(0, 5, nx) + (np.arange(nx) == 0)
+                probs = probs / probs.sum()
+            p = Pmf(Alphabet(tuple(range(nx))), probs)
+            n = int(rng.integers(1, 41))
+            eps = float(rng.choice([0.0, 0.1, 0.25, 0.5, 1.0, 1.5, rng.uniform(0, 2)]))
+            spec = TypicalSpec(p, n, eps)
+            for (lo, hi), prob in zip(spec.count_ranges, p.probs):
+                rule = [(1 - eps) * prob <= k / n <= (1 + eps) * prob for k in range(n + 1)]
+                assert list(range(lo, hi + 1)) == np.flatnonzero(rule).tolist(), (probs, n, eps)
 
 
 class TestMembership:
