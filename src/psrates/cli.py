@@ -25,11 +25,9 @@ class CliError(Exception):
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x + 0.0:.12g}" if x == 0 else f"{x:.12g}"
-    return str(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x + 0.0:.12g}" if x == 0 else f"{x:.12g}"
 
 
 def _emit_json(d):
@@ -156,10 +154,13 @@ def _scenario_flags(p):
     p.add_argument("--exp-s", type=float, default=None, help="apply exp(s*q) before use")
 
 
-def _build_scenario(args):
-    ch = parse_channel(args.channel)
+def _build_scenario(args, **override):
+    """(p_x, ch, q) from the scenario flags; override replaces a channel
+    field by name, or power_s, the --power-s value."""
+    power_s = override.pop("power_s", args.power_s)
+    ch = parse_channel(args.channel, **override)
     p_x = parse_input(args.input, ch)
-    q = parse_metric(args.metric, p_x, ch, args.power_s, args.exp_s)
+    q = parse_metric(args.metric, p_x, ch, power_s, args.exp_s)
     return p_x, ch, q
 
 
@@ -199,14 +200,12 @@ def cmd_sweep(args):
 
 def _sweep_point(args, v):
     try:
-        power_s, override = args.power_s, {args.param: v}
         if args.param == "s":
-            power_s, override = v, {}
-        elif args.param not in _CHANNEL_FIELDS.get(args.channel.partition(":")[0], ()):
+            p_x, ch, q = _build_scenario(args, power_s=v)
+        elif args.param in _CHANNEL_FIELDS.get(args.channel.partition(":")[0], ()):
+            p_x, ch, q = _build_scenario(args, **{args.param: v})
+        else:
             raise CliError(f"--param {args.param}: channel {args.channel!r} has no such field")
-        ch = parse_channel(args.channel, **override)
-        p_x = parse_input(args.input, ch)
-        q = parse_metric(args.metric, p_x, ch, power_s, args.exp_s)
         rep = rates.achievable_transmission_rate(p_x, ch, q)
         return (
             _fmt(v), _fmt(rep.uncertainty), _fmt(rep.t_c),

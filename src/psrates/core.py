@@ -7,6 +7,7 @@ cross-entropy when the second argument has a zero where the first does not.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +76,15 @@ class Alphabet:
 
         Raises ValueError on a symbol that is not in the alphabet.
         """
-        lookup = {s: i for i, s in enumerate(self.symbols)}
         try:
-            return np.array([lookup[s] for s in seq], dtype=np.intp)
+            return np.array([self._index[s] for s in seq], dtype=np.intp)
         except KeyError as e:
             raise ValueError(f"symbol {e.args[0]!r} not in alphabet") from None
+
+    @cached_property
+    def _index(self):
+        # built at the first indices call: most large alphabets are never indexed
+        return {s: i for i, s in enumerate(self.symbols)}
 
     def bits(self, level):
         """Label bit at 1-based level of every symbol, as an index array."""

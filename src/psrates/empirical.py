@@ -40,11 +40,16 @@ class SequencePair:
 
 
 def _per_term_rates(pair, q):
-    """(xi, yi, terms): the index sequences of the pair and, for each
-    position i, log2 q(x_i,y_i) / (sum_a q(a,y_i)/|X|)."""
+    """(xi, terms, q_xy, col): the pair's input indices and, at each position
+    i, log2 q(x_i,y_i) / (sum_a q(a,y_i)/|X|), q(x_i,y_i) and sum_a q(a,y_i).
+    The terms equal q.log2_ratio()[xi, yi] bit for bit: the column sums are
+    taken over the whole table, as there, and then gathered."""
     xi = q.input.indices(pair.x_seq)
     yi = q.output.indices(pair.y_seq)
-    return xi, yi, q.log2_ratio()[xi, yi]
+    q_xy, col = q.q[xi, yi], q.q.sum(axis=0)[yi]
+    with np.errstate(divide="ignore"):
+        terms = np.log2(q_xy) - np.log2(col / len(q.input))
+    return xi, terms, q_xy, col
 
 
 def empirical_code_rate(pair, q):
@@ -54,15 +59,12 @@ def empirical_code_rate(pair, q):
     form log2|X| minus the empirical uncertainty is computed as a
     cross-check.
     """
-    xi, yi, terms = _per_term_rates(pair, q)
+    _, terms, q_xy, col = _per_term_rates(pair, q)
     t_hat = float(terms.mean())
     if math.isinf(t_hat):
         return t_hat
     # alternative form: log2|X| - mean(-log2 q / sum_a q)
-    full = q.q.sum(axis=0)
-    alt = math.log2(len(q.input)) - float(
-        (-np.log2(q.q[xi, yi] / full[yi])).mean()
-    )
+    alt = math.log2(len(q.input)) - float((-np.log2(q_xy / col)).mean())
     if abs(alt - t_hat) > 1e-10 * max(1.0, abs(t_hat)):
         raise NumericalCheckError("empirical code rate forms disagree")
     return t_hat
@@ -74,7 +76,7 @@ def composition_sorted_rate(pair, q):
     The frequency-weighted recombination of the inner averages equals the
     empirical code rate (algebraic identity).
     """
-    xi, _, terms = _per_term_rates(pair, q)
+    xi, terms, _, _ = _per_term_rates(pair, q)
     n = len(pair.x_seq)
     out = {}
     for a, symbol in enumerate(q.input.symbols):
@@ -104,7 +106,8 @@ def sample_channel_outputs(ch, x_idx, rng):
     Inverse-CDF sampling: one uniform draw per position, located by binary
     search in the cumulative row of its input symbol. The rows never
     decrease, so side="right" returns the number of entries <= u. Cost is
-    O(n log |Y|) plus one pass over x_idx per input symbol.
+    O(|X| |Y|) for the cumulative rows, built on every call, plus
+    O(n log |Y|) and one pass over x_idx per input symbol.
     """
     x_idx = np.asarray(x_idx)
     if x_idx.dtype.kind not in "iu":
@@ -129,8 +132,9 @@ class _IidDraw:
     cdf entries <= each uniform. Here the same uniforms, scaled exactly by
     _GUIDE_BUCKETS, take that number from a guide table by their integer
     part; only those in a bucket with a cdf entry inside it are searched.
-    The table takes 1-2 bytes per bucket, and the uniforms and bucket
-    indices 16 bytes per draw of a block of min(size, _IID_BLOCK) draws.
+    The table takes 1 byte per bucket up to 255 symbols and 2 up to 65,535,
+    and the uniforms and bucket indices 16 bytes per draw of a block of
+    min(size, _IID_BLOCK) draws.
     """
 
     def __init__(self, probs, size):
@@ -138,12 +142,13 @@ class _IidDraw:
         cdf /= cdf[-1]
         self.scaled = cdf * _GUIDE_BUCKETS
         # for each bucket [b, b + 1), the number of scaled entries <= every
-        # point of it, or -1 when an entry lies inside it: entry k counts in
-        # every bucket from floor(scaled[k]) on
+        # point of it, or len(probs) when an entry lies inside it: entry k
+        # counts in every bucket from floor(scaled[k]) on, so the last,
+        # _GUIDE_BUCKETS, counts in none, and no count reaches len(probs)
         floor = np.floor(self.scaled)
         steps = np.diff(floor.astype(np.intp), prepend=0)
-        self.table = np.repeat(np.arange(len(probs), dtype=np.min_scalar_type(-len(probs))), steps)
-        self.table[floor[floor != self.scaled].astype(np.intp)] = -1
+        self.table = np.repeat(np.arange(len(probs), dtype=np.min_scalar_type(len(probs))), steps)
+        self.table[floor[floor != self.scaled].astype(np.intp)] = len(probs)
         block = min(size, _IID_BLOCK)
         self.u, self.bucket = np.empty(block), np.empty(block, np.intp)
 
@@ -159,7 +164,8 @@ class _IidDraw:
             np.copyto(bucket, u, casting="unsafe")
             self.table.take(bucket, out=part, mode="clip")
             # the bucket indices are spent; their bytes hold the open mask
-            open_ = np.flatnonzero(np.less(part, 0, out=bucket.view(bool)[:part.size]))
+            open_ = np.flatnonzero(np.equal(part, len(self.scaled),
+                                            out=bucket.view(bool)[:part.size]))
             part[open_] = self.scaled.searchsorted(u[open_], "right")
         return out
 

@@ -27,21 +27,12 @@ class Metric:
             raise ValueError("every metric column needs a positive entry")
         object.__setattr__(self, "q", q)
 
-    def log2_q(self):
-        """Entrywise log2 of the metric, -inf at zeros; used by decoders."""
-        with np.errstate(divide="ignore"):
-            return np.log2(self.q)
-
     def log2_ratio(self):
         """Per-symbol code-rate term log2 q(a,b) - log2(sum_a' q(a',b)/|X|),
         -inf at zeros; its mean over a transmitted sequence is the
         empirical achievable code rate."""
         with np.errstate(divide="ignore"):
             return np.log2(self.q) - np.log2(self.q.sum(axis=0) / len(self.input))
-
-    def column_argmax(self):
-        """Set of maximizing input indices per output column."""
-        return [frozenset(np.flatnonzero(col == col.max())) for col in self.q.T]
 
     @classmethod
     def from_json_dict(cls, d):

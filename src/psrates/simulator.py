@@ -25,7 +25,8 @@ indices and a bool mask). The classical draw writes into the chunk through
 The layered-ps draw's raw outputs take 4 bytes per cell drawn, 12 when |X|
 is not a power of two; the workers draw under one lock, so no buffer's life
 depends on how they interleave, and neither does the peak. Beyond that a
-run holds O(|X| |Y|) for the decoder table and a trial O(n + |X| |Y|).
+run holds O(|X| |Y|) for the decoder table, and a trial O(n |X|) plus the
+|X| x |Y| cumulative rows that sample_channel_outputs builds.
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare
@@ -73,7 +74,7 @@ encoded.
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -171,20 +172,9 @@ class SimResult:
     per_trial: tuple = field(repr=False, default=())
 
     def to_json_dict(self):
-        return {
-            "trials": self.trials,
-            "encoding_failure_rate": self.encoding_failure_rate,
-            "decode_error_rate": self.decode_error_rate,
-            "message_error_rate": self.message_error_rate,
-            "bound_2exp": self.bound_2exp,
-            "t_hat_mean": self.t_hat_mean,
-            "t_hat_min": self.t_hat_min,
-            "t_hat_max": self.t_hat_max,
-            "realized_r_c": self.realized_r_c,
-            "realized_r_tx": self.realized_r_tx,
-            "codebook_size": self.codebook_size,
-            "message_count": self.message_count,
-        }
+        """The summary: the fields from trials to message_count, by name."""
+        names = [f.name for f in fields(self)]
+        return {k: getattr(self, k) for k in names[:names.index("message_count") + 1]}
 
 
 @dataclass(frozen=True)
@@ -204,9 +194,9 @@ def pairwise_union_bound(pair, q, r_c):
 
 
 def _union_bound(t_hat, n, r_c):
-    if math.isinf(t_hat):
-        return 1.0
-    return min(1.0, 2.0 ** (-n * (t_hat - r_c)))
+    # 2.0 ** e overflows for e >= 1024, so it is clipped first
+    e = -n * (t_hat - r_c)
+    return 1.0 if e >= 0 else 2.0 ** e
 
 
 def run(cfg):
@@ -220,7 +210,9 @@ def run(cfg):
     workers = min(2, os.cpu_count() or 1, cfg.trials)
     # the workers share the decoder table, and a lock under which their
     # layered-ps draws hold their raw outputs one at a time
-    logq, lock = _log2_q_grid(cfg.q.log2_q(), cfg.n), threading.Lock()
+    with np.errstate(divide="ignore"):
+        logq = _log2_q_grid(np.log2(cfg.q.q), cfg.n)
+    lock = threading.Lock()
     books = [_Codebook(cfg, _CHUNK_CELLS // workers, logq, lock) for _ in range(workers)]
     # a worker writes only its own trials' records and its own entry of
     # failed: its first failed trial and the exception

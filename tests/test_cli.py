@@ -328,6 +328,21 @@ class TestSimulateCommand:
         d = json.loads(out)
         assert d["trials"] == 4 and math.isfinite(d["t_hat_mean"])
 
+    def test_union_bound_far_below_the_rate_is_one(self, capsys, tmp_path):
+        # every trial's T-hat lies far below r_c, where 2^(-n (T-hat - r_c))
+        # overflows a float: the bound is clipped to 1, with no traceback
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"input": {"symbols": [0, 1]}, "output": {"symbols": [0, 1]},
+                                    "rows": [[1.0, 1e-300], [1e-300, 1.0]]}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--channel", "bsc:0.3", "--input", "uniform",
+            "--metric", str(path), "--mode", "classical", "--n", "20", "--rc", "0.5",
+            "--rtx", "0.5", "--trials", "3", "--seed", "1",
+        )
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["t_hat_max"] < -100 and d["bound_2exp"] == 1.0
+
     def test_empty_block_rejected(self, capsys):
         args = [a if a != "16" else "0" for a in self.ARGS]
         code, out, err = run_cli(capsys, *args)

@@ -66,8 +66,8 @@ class TestEmpiricalCodeRate:
         per_term = empirical._per_term_rates
 
         def shifted(pair, q):
-            xi, yi, terms = per_term(pair, q)
-            return xi, yi, terms + 1e-6
+            xi, terms, q_xy, col = per_term(pair, q)
+            return xi, terms + 1e-6, q_xy, col
 
         monkeypatch.setattr(empirical, "_per_term_rates", shifted)
         q = likelihood_metric(bsc(0.11))
@@ -320,7 +320,8 @@ def _draw_iid(rng, p, size):
 
 class TestIidDrawOracle:
     @pytest.mark.parametrize("kind", ["dirichlet", "sparse", "zeros", "one-bucket", "subnormal"])
-    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 16, 64, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 5, 16, 64, 128, 129, 200, 255, 256, 257, 300,
+                                    1000])
     def test_draw_is_choice(self, nx, kind):
         p = _iid_probs(nx, kind)
         for size in (1, 7, 1001, (37, 13)):
@@ -370,6 +371,6 @@ class TestIidDrawOracle:
         # an entry on the edge b counts from bucket b on and opens none
         table = empirical._IidDraw(np.array([0.25, 0.25, 0.5]), 1).table
         b = empirical._GUIDE_BUCKETS // 4
-        assert table[b - 1] == 0 and table[b] == 1 and not np.any(table < 0)
+        assert table[b - 1] == 0 and table[b] == 1 and not np.any(table == 3)
         table = empirical._IidDraw(np.array([1e-6, 1 - 1e-6]), 1).table
-        assert table[0] == -1 and np.all(table[1:] == 1)
+        assert table[0] == 2 and np.all(table[1:] == 1)

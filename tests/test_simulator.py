@@ -124,6 +124,14 @@ class TestPairwiseUnionBound:
         pair = SequencePair((0, 1), (1, 0))  # all positions flipped
         assert pairwise_union_bound(pair, q, 1.0) == 1.0
 
+    def test_clipped_far_below_the_rate(self):
+        # six positions score 1e-300, so T-hat is about -298 and the
+        # exponent -n (T-hat - r_c) about 5,980, where 2.0 ** e overflows
+        q = Metric(Alphabet((0, 1)), Alphabet((0, 1)), np.array([[1.0, 1e-300], [1e-300, 1.0]]))
+        pair = SequencePair((0,) * 20, (1,) * 6 + (0,) * 14)
+        assert empirical_code_rate(pair, q) < -290
+        assert pairwise_union_bound(pair, q, 0.5) == 1.0
+
     @pytest.mark.parametrize("r_c", [math.nan, -0.5])
     def test_bad_rate_rejected(self, r_c):
         q = likelihood_metric(bsc(0.11))
@@ -318,7 +326,7 @@ def _one_shot(cfg, t):
         v = typical[0] if typical else 0
     w = u * n_v + v
     y = sample_channel_outputs(cfg.ch, cb[w], rng)
-    scores = simulator._log2_q_grid(cfg.q.log2_q(), cfg.n)[cb, y[None, :]].sum(axis=1)
+    scores = _grid(cfg)[cb, y[None, :]].sum(axis=1)
     winners = np.flatnonzero(scores == scores.max())
     w_error = not (winners.size == 1 and winners[0] == w)
     pair = SequencePair([cfg.ch.input.symbols[i] for i in cb[w]],
@@ -445,10 +453,15 @@ class TestStreamedCodebook:
             assert all(rec.w_error for rec in default.per_trial)
 
 
+def _grid(cfg):
+    """run's decoder table for cfg: log2 q on its grid, -inf at zeros."""
+    with np.errstate(divide="ignore"):
+        return simulator._log2_q_grid(np.log2(cfg.q.q), cfg.n)
+
+
 def _codebook(cfg):
     """A one-worker simulator._Codebook of cfg, as run builds it."""
-    return simulator._Codebook(cfg, simulator._CHUNK_CELLS,
-                               simulator._log2_q_grid(cfg.q.log2_q(), cfg.n), threading.Lock())
+    return simulator._Codebook(cfg, simulator._CHUNK_CELLS, _grid(cfg), threading.Lock())
 
 
 def _run_on(monkeypatch, cfg, cpus):
@@ -601,6 +614,16 @@ def _short_rows(n, nx, mode, probs=None):
     return layered_config(p_x=p, ch=ch, q=likelihood_metric(ch), mode=mode, n=n,
                           r_c=6 / n, r_tx=6 / n if mode == "classical" else 3 / n,
                           eps_typ=1.0, trials=1)
+
+
+@pytest.mark.parametrize("nx", [2, 5, 128, 129, 200, 255, 256, 300])
+def test_classical_chunk_takes_one_byte_up_to_255_symbols(nx):
+    # the guide table marks an open bucket with nx, so it and the chunk
+    # that takes its dtype stay unsigned
+    probs = np.random.default_rng(nx).dirichlet(np.ones(nx))
+    book = _codebook(_short_rows(4, nx, "classical", probs))
+    dtype = np.uint8 if nx <= 255 else np.uint16
+    assert book.iid.table.dtype == dtype and book.chunk.dtype == dtype
 
 
 class TestStreamPosition:
