@@ -291,6 +291,10 @@ def cmd_estimate_tc(args):
 
 
 def cmd_typical(args):
+    # str() of an int refuses more than 4,300 digits (the process-wide
+    # sys.get_int_max_str_digits); Decimal prints any exact size
+    import decimal
+
     probs = np.asarray(_parse_list(args.pmf, "--pmf"))
     alphabet = Alphabet(tuple(range(len(probs))))
     p_x = Pmf(alphabet, probs)
@@ -304,7 +308,7 @@ def cmd_typical(args):
         rate = typicality._rate_of_size(size, n)
         exponent = n * (1 - args.eps) * h
         lemma = math.inf if exponent >= 1024 else 2.0 ** exponent
-        print(f"{n},{_fmt(args.eps)},{size},{_fmt(rate)},{_fmt(lemma)}")
+        print(f"{n},{_fmt(args.eps)},{decimal.Decimal(size)},{_fmt(rate)},{_fmt(lemma)}")
 
 
 def build_parser():

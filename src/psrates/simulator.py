@@ -20,8 +20,12 @@ flatnonzero rule. Each worker owns a chunk of _CHUNK_CELLS // W cells, so the
 workers together hold _CHUNK_CELLS cells whatever W is. Every per-chunk
 buffer is allocated once per run, on the calling thread: a chunk cell takes
 1-2 bytes, and scoring 25/n more (the scores, one gathered column, its intp
-indices and a bool mask). The classical draw writes into the chunk through
-16 bytes per cell of a block of at most _IID_BLOCK cells (empirical._IidDraw).
+indices and a bool mask). Each worker's group table (see Output) holds
+2^(b g) / g float64 entries per position, at most 16 times the n 2^b of a
+table by position: about 8 KB at the benchmark's shapes (n = 12 to 24,
+|X| <= 4) and 1 MB at n = 4000 with |X| = 2. The classical draw writes into
+the chunk through 16 bytes per cell of a block of at most _IID_BLOCK cells
+(empirical._IidDraw).
 The layered-ps draw's raw outputs take 4 bytes per cell drawn, 12 when |X|
 is not a power of two; the workers draw under one lock, so no buffer's life
 depends on how they interleave, and neither does the peak. Beyond that a
@@ -48,10 +52,16 @@ rng.choice and maps them to choice's indices through a guide table over their
 leading 16 bits (empirical._IidDraw), built once per worker. Scores are exact
 sums: the decoder's log2 q table is rounded once per run to the nearest
 multiple of 2^-k, for the largest k at which any sum of n finite entries is
-exact in float64, and -inf stays -inf (_log2_q_grid). Each score adds its n
-terms in position order. Every partial sum is exact, so a score does not
-depend on the order of its terms, and equals the grid table's row sum taken
-in any order.
+exact in float64, and -inf stays -inf (_log2_q_grid). A score adds its
+terms in groups of g adjacent positions, with b = max(1, bit_length(|X| - 1))
+bits per symbol and g the largest power of two with g b <= 8 that divides n
+(1 when a chunk cell takes 2 bytes). Each trial sums every group's g terms,
+in position order, for every tuple of symbols, into the group table; each
+chunk is packed in place so that one byte per group indexes that table
+(_pack), and a score adds its n/g group sums in group order. A partial sum,
+within a group or across groups, is a sum of at most n grid entries, so
+every one is exact: a score does not depend on how its terms are grouped or
+ordered, and equals the grid table's row sum taken in any order.
 
 Decoder ties: the transmitted index counts as correctly decoded only when it
 is the unique maximizer, so a tie counts as an error. Codewords with the
@@ -249,7 +259,12 @@ def run(cfg):
 class _Codebook:
     """The chunked codebook draw of one run's worker, in chunks of about
     `cells` cells, and the buffers its trials reuse. logq is the run's
-    _log2_q_grid table and lock the run's draw lock."""
+    _log2_q_grid table and lock the run's draw lock.
+
+    The buffers include the group table of _group_sums, n/g rows of 2^(b g)
+    float64 sums for b bits per symbol: at most 16 times the n 2^b entries
+    of a table by position, about 8 KB at the benchmark's shapes.
+    """
 
     def __init__(self, cfg, cells, logq, lock):
         self.cfg, self.logq, self.lock = cfg, logq, lock
@@ -267,6 +282,10 @@ class _Codebook:
             self.row_outputs = cfg.n
             self.iid = _IidDraw(cfg.p_x.probs, rows * cfg.n)
             self.chunk = np.empty((rows, cfg.n), self.iid.table.dtype)
+        # the decoder's group table, refilled by each trial
+        k = _symbol_bits(nx)
+        g = _group_size(cfg.n, k, self.chunk.itemsize)
+        self.groups = np.zeros((cfg.n // g, 1 << k * g))
         # the scores, one gathered column, its indices and the hits of a max
         self.scores, self.term, self.col = np.empty(rows), np.empty(rows), np.empty(rows, np.intp)
         self.hits = np.empty(rows, bool)
@@ -296,7 +315,7 @@ class _Codebook:
         failed, v, x = self._encode(gen)
         gen.bit_generator.state = after_u
         y = sample_channel_outputs(cfg.ch, x, gen)
-        table = np.ascontiguousarray(self.logq[:, y].T)
+        _group_sums(self.logq[:, y], self.groups)
         # the running max, the first index reaching it and its count; all
         # -inf scores tie at index 0
         best, w_hat, ties = -math.inf, 0, 0
@@ -304,7 +323,7 @@ class _Codebook:
             chunk = self.draw(rng, min(self.rows, self.n_c - lo))
             rows = len(chunk)
             scores = self.scores[:rows]
-            _score_rows(table, chunk, scores, self.term[:rows], self.col[:rows])
+            _score_rows(self.groups, chunk, scores, self.term[:rows], self.col[:rows])
             top = scores.max()
             if top >= best:
                 hits = np.equal(scores, top, out=self.hits[:rows])
@@ -382,19 +401,76 @@ def _log2_q_grid(logq, n):
     return np.ldexp(np.round(np.ldexp(logq, k)), -k)
 
 
-def _score_rows(table, chunk, out, term, col):
-    """out[r] = sum over i of table[i, chunk[r, i]], added in position order;
-    term (float64) and col (intp) are scratch arrays of out's length.
+def _symbol_bits(nx):
+    """k: the bits that hold a symbol of range(nx), at least one."""
+    return max(1, (nx - 1).bit_length())
 
-    On a _log2_q_grid table every partial sum is exact, so the score does
-    not depend on the order of the terms.
+
+def _group_size(n, k, itemsize):
+    """g: the largest power of two with g * k <= 8 that divides n, or 1 when
+    chunk cells take itemsize > 1 bytes."""
+    g = 1
+    while itemsize == 1 and 2 * g * k <= 8 and n % (2 * g) == 0:
+        g *= 2
+    return g
+
+
+def _group_sums(table, out):
+    """Fill out, of n/g rows and 2^(k g) columns, with the sums of the
+    (nx, n) array table over each group of g positions: out[c, index] is
+    the sum over j < g of table[s_j, g c + j], where symbol s_j sits in bits
+    k j to k j + k - 1 of the index, k = _symbol_bits(nx). Columns with a
+    symbol of nx or more are left as they are; no symbol reads them.
     """
+    nx, n = table.shape
+    c, g = len(out), n // len(out)
+    # axis g - j of the view holds s_j, axis 0 the group
+    sub = out.reshape((c,) + (1 << _symbol_bits(nx),) * g)[(slice(None),) + (slice(nx),) * g]
+    for j in range(g):
+        terms = table[:, j::g].T.reshape((c,) + (1,) * (g - 1 - j) + (nx,) + (1,) * j)
+        if j:
+            np.add(sub, terms, out=sub)
+        else:
+            np.copyto(sub, terms)
+
+
+def _pack(chunk, g, k):
+    """The (rows, n/g) uint8 view of the contiguous one-byte chunk whose
+    column c holds its group c's symbols as one index, symbol j in bits k j
+    to k j + k - 1. Each group is a little-endian g-byte word, the sum over
+    j of s_j 2^(8 j), multiplied in place by M = the sum over i < g of
+    2^(8 (g - 1) - (8 - k) i), for 1 <= g k <= 8. The product's term for
+    i = j puts s_j in bits 8 (g - 1) + k j on, inside the top byte; the
+    terms for i > j stay below the top byte, without a carry into it, and
+    those for i < j start at bit 8 g or above and wrap away. The chunk's
+    symbols are lost.
+    """
+    words = chunk.view(f"<u{g}")
+    # M as the words' own type: unsigned arithmetic that wraps the same way
+    # whatever numpy's rules for Python ints
+    words *= words.dtype.type(sum(1 << 8 * (g - 1) - (8 - k) * i for i in range(g)))
+    return chunk.view(np.uint8)[:, g - 1::g]
+
+
+def _score_rows(groups, chunk, out, term, col):
+    """out[r] = the sum over c of groups[c, index of row r's group c], the
+    _group_sums table of the chunk's positions, added in group order; term
+    (float64) and col (intp) are scratch arrays of out's length. When g > 1
+    the chunk is packed in place (_pack) and its symbols are lost.
+
+    On a _log2_q_grid table every partial sum, within a group and across
+    groups, is a sum of at most n entries and exact, so the score equals
+    the row's sum of n terms taken in any order.
+    """
+    g = chunk.shape[1] // len(groups)
+    if g > 1:
+        chunk = _pack(chunk, g, (groups.shape[1].bit_length() - 1) // g)
     # take would copy each column to intp in a fresh array; "clip" writes
     # out directly, where "raise" would buffer it, and chunk holds valid
     # indices only
-    for i in range(chunk.shape[1]):
+    for i in range(len(groups)):
         np.copyto(col, chunk[:, i])
-        table[i].take(col, out=term if i else out, mode="clip")
+        groups[i].take(col, out=term if i else out, mode="clip")
         if i:
             out += term
 

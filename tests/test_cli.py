@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -471,6 +472,21 @@ class TestTypicalCommand:
         assert (n, eps, lemma) == ("3000", "0.3", "inf")
         assert float(rate) == pytest.approx(math.log2(int(size)) / 3000, abs=1e-11)
         assert 1.5 < float(rate) < 2
+
+    def test_sizes_beyond_int_str_limit(self, capsys):
+        # the exact size at n = 15,000 has 4,516 digits, more than str()
+        # of an int prints by default
+        code, out, err = run_cli(
+            capsys, "typical", "--pmf", "0.5,0.5", "--n", "14000,15000", "--eps", "0.1",
+        )
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert [row[0] for row in rows] == ["14000", "15000"]
+        p_x = uniform_pmf(bsc(0.1).input)
+        for n, _, size, _, _ in rows:
+            exact = typicality.typical_set_size(typicality.TypicalSpec(p_x, int(n), 0.1))
+            assert size.isdigit() and int(decimal.Decimal(size)) == exact
+        assert len(rows[1][2]) == 4516
 
 
 class TestErrorHandling:

@@ -431,6 +431,15 @@ class TestStreamedCodebook:
                                      n=18, r_c=r_c, r_tx=r_c, trials=2) for r_c in (14 / 18, 1.0))
         self._assert_flat(small, big)
 
+    @pytest.mark.parametrize("n", [500, 4000])
+    def test_long_block_memory_bounded(self, n):
+        # the group table holds 2^(k g) / g entries per position, 32 at
+        # g = 8 here: 1 MB per worker at n = 4000, within the O(n) term
+        cfg = layered_config(n=n, r_c=12 / n, r_tx=6 / n, trials=2)
+        assert simulator._group_size(n, 1, 1) == (4 if n == 500 else 8)
+        peak = self._peak(cfg)
+        assert peak < 20 * simulator._CHUNK_CELLS + 1024 * n, peak
+
     @pytest.mark.parametrize("mode", ["layered-ps", "classical"])
     def test_ties_at_minus_infinity(self, monkeypatch, mode):
         # q vanishes wherever P_X W is positive: the codebook never holds
@@ -752,9 +761,14 @@ def _bits(a):
 
 
 def _score_rows(table, chunk):
-    """simulator._score_rows of the chunk, with fresh scratch arrays."""
+    """simulator._score_rows of a copy of the chunk on the (n, |X|) position
+    table, grouped as a run groups it, with fresh scratch arrays."""
+    n, k = chunk.shape[1], simulator._symbol_bits(table.shape[1])
+    g = simulator._group_size(n, k, chunk.itemsize)
+    groups = np.zeros((n // g, 1 << k * g))
+    simulator._group_sums(table.T, groups)
     out, term = np.empty(len(chunk)), np.empty(len(chunk))
-    simulator._score_rows(table, chunk, out, term, np.empty(len(chunk), np.intp))
+    simulator._score_rows(groups, chunk.copy(), out, term, np.empty(len(chunk), np.intp))
     return out
 
 
@@ -800,6 +814,57 @@ class TestScoreOracle:
             terms = table[np.arange(n), chunk]
             expected = np.array([math.fsum(row) for row in terms.tolist()])
             assert np.array_equal(_bits(out), _bits(expected)), n
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 5, 8, 16, 17, 255, 256])
+    def test_grouped_scores_are_exact_row_sums(self, nx):
+        # group sizes 8 (nx <= 2), 4 (nx 3 and 4), 2 (nx 5 to 16) and 1, on
+        # the chunk dtypes of both modes: layered-ps holds nx - 1 at most, and a
+        # classical chunk takes 2 bytes at nx = 256, so g = 1 there
+        rng = np.random.default_rng(nx)
+        finite = False
+        for n in [*range(1, 65), 500, 501]:
+            table = self._mixed_table(rng, n, nx)
+            chunk = rng.integers(nx, size=(19, n))
+            chunk[1] = nx - 1
+            # row 0 meets -inf at one position, other rows may; a single
+            # symbol would meet it in every row, so it is left out at n
+            # divisible by 3 there
+            if nx > 1 or n % 3:
+                at, symbol = rng.integers(n, size=3), rng.integers(nx, size=3)
+                table[at, symbol] = -np.inf
+                chunk[0, at] = symbol
+            table = simulator._log2_q_grid(table, n)
+            terms = table[np.arange(n), chunk]
+            expected = np.array([math.fsum(row) for row in terms.tolist()])
+            assert (expected[0] == -np.inf) == (nx > 1 or n % 3 > 0)
+            finite |= np.isfinite(expected).any()
+            for dtype in {np.min_scalar_type(nx - 1), np.min_scalar_type(nx)}:
+                out = _score_rows(table, chunk.astype(dtype))
+                # where all terms are -0.0, fsum gives +0.0 and the scorer
+                # -0.0; adding +0.0 changes no other score
+                assert np.array_equal(_bits(out + 0.0), _bits(expected)), (n, dtype)
+        assert finite
+
+    def test_group_size(self):
+        # the largest power of two with g k <= 8 that divides n, and 1 for
+        # cells wider than a byte
+        assert [simulator._group_size(24, k, 1) for k in range(1, 10)] == [8, 4, 2, 2, 1, 1, 1, 1, 1]
+        assert ([simulator._group_size(n, 1, 1) for n in (1, 2, 3, 4, 6, 12, 16, 500, 501)]
+                == [1, 2, 1, 4, 2, 4, 8, 4, 1])
+        assert simulator._group_size(24, 1, 2) == 1
+        assert [simulator._symbol_bits(nx) for nx in (1, 2, 3, 4, 5, 16, 17, 256)] == [1, 1, 2, 2, 3, 4, 5, 8]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_packed_index_in_top_byte(self, k):
+        # every tuple of g symbols of k bits, in two groups per row: the
+        # index of each tuple and the same tuples in reverse order
+        for g in (g for g in (1, 2, 4, 8) if g * k <= 8):
+            index = np.arange(1 << k * g)
+            digits = index[:, None] >> k * np.arange(g) & (1 << k) - 1
+            chunk = np.concatenate([digits, digits[::-1]], axis=1).astype(np.uint8)
+            packed = simulator._pack(chunk, g, k)
+            assert packed.dtype == np.uint8 and packed.shape == (len(index), 2)
+            assert np.array_equal(packed, np.stack([index, index[::-1]], axis=1)), g
 
     def test_duplicate_codewords_tie(self):
         rng = np.random.default_rng(8)
