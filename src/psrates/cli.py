@@ -167,8 +167,7 @@ def _build_scenario(args, **override):
 def cmd_rates(args):
     p_x, ch, q = _build_scenario(args)
     if args.optimize_s:
-        family = "exp" if args.metric in ("hamming", "hamming-binary") else "power"
-        report, s_star = rates.optimize_metric_exponent(p_x, ch, q, family=family)
+        report, s_star = rates.optimize_metric_exponent(p_x, ch, q)
         d = report.to_json_dict()
         d["s_star"] = s_star
     else:
@@ -187,6 +186,8 @@ RATE_COLUMNS = (
 def cmd_sweep(args):
     if args.steps < 1:
         raise CliError("--steps: must be at least 1")
+    if not math.isfinite(args.stop - args.start):  # also when the span overflows
+        raise CliError(f"--start, --stop: need finite ends, got {args.start} and {args.stop}")
     values = (
         [args.start] if args.steps == 1
         else list(np.linspace(args.start, args.stop, args.steps))

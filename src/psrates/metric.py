@@ -70,10 +70,14 @@ def likelihood_metric(ch):
     return Metric(ch.input, ch.output, ch.w)
 
 
+def _check_exponent(s):
+    if not 0 < s < np.inf:
+        raise ValueError(f"exponent must be finite and positive, got {s}")
+
+
 def power_transform(q, s):
     """Entrywise power q^s, order-preserving for s > 0."""
-    if s <= 0:
-        raise ValueError("power exponent must be positive")
+    _check_exponent(s)
     # 0^s = 0; skipping the zeros matters because pow is slow on them and
     # quantized-channel metrics are mostly zeros
     pos = q.q > 0
@@ -84,8 +88,7 @@ def power_transform(q, s):
 
 def exp_transform(q, s):
     """Entrywise exp(s*q), order-preserving for s > 0."""
-    if s <= 0:
-        raise ValueError("exponential scale must be positive")
+    _check_exponent(s)
     scaled = s * q.q
     if scaled.max() > 700:
         raise ValueError("exponential transform overflows (s too large)")
@@ -127,8 +130,7 @@ def map_quantizer(p_x, ch):
 def metric_switch(q, p_x, s):
     """Reweight q by P(x)^(1/s), turning a classical-decoder metric into one
     whose shaped-codebook rate at exponent s reproduces the GMI."""
-    if s <= 0:
-        raise ValueError("exponent must be positive")
+    _check_exponent(s)
     if p_x.alphabet.symbols != q.input.symbols:
         raise ValueError("input distribution is not on the metric input alphabet")
     return Metric(q.input, q.output, q.q * p_x.probs[:, None] ** (1.0 / s))

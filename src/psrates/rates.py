@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import _joint, _product_base, bit_marginal, icm_mixture
 from .core import NumericalCheckError, binary_entropy, entropy
-from .metric import exp_transform, power_transform
+from .metric import Metric, _check_exponent, exp_transform, power_transform
 
 PERSPECTIVE_TOL = 1e-10
 
@@ -280,8 +280,7 @@ def lm_rate(p_x, ch, q, s, r):
     shaped rate. r holds one weight per input symbol; s and the weights on
     the support of P_X must be finite and positive.
     """
-    if not 0 < s < math.inf:
-        raise ValueError(f"exponent must be finite and positive, got {s}")
+    _check_exponent(s)
     r = np.asarray(r, dtype=float)
     if r.shape != (len(ch.input),):
         raise ValueError(f"weights must have shape ({len(ch.input)},), got {r.shape}")
@@ -367,23 +366,21 @@ def _shaped_rate_objective(p_x, ch, q, make):
     return f
 
 
-def optimize_metric_exponent(p_x, ch, q, family="power", s_min=1e-3, s_max=1e3):
-    """Maximize the shaped rate over the order-preserving s-family of q.
-
-    family "power" sweeps q^s, family "exp" sweeps exp(s*q) (the right
-    family for 0/1 Hamming metrics, which the power map leaves unchanged).
+def optimize_metric_exponent(p_x, ch, q, s_min=1e-3, s_max=1e3):
+    """Maximize the shaped rate over the order-preserving s-family of q. Where
+    the positive entries of q are equal within every column (0/1 Hamming
+    metrics; any metric of a noiseless channel), every q^s normalizes to q and
+    1[q > 0]; the family is then exp(s*1[q > 0]) up to s = 650, else q^s.
     The scenario's invariants are computed once per call, and the search
     evaluates only the uncertainty form of R_ps; the three forms are checked
     against each other once, on the reported point. Returns
     (RateReport at the best s, s_star); raises ValueError unless
-    0 < s_min < s_max < inf after the exp family's overflow cap on s_max.
+    0 < s_min < s_max < inf after the cap.
     """
-    if family == "power":
-        make = power_transform
-    elif family == "exp":
-        make = exp_transform
-        s_max = min(s_max, 650.0 / max(float(q.q.max()), 1e-300))
+    if np.all((q.q == 0) | (q.q == q.q.max(axis=0))):
+        q = Metric(q.input, q.output, q.q > 0)
+        make, s_max = exp_transform, min(s_max, 650.0)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        make = power_transform
     s_star = _maximize_log_s(_shaped_rate_objective(p_x, ch, q, make), s_min, s_max)
     return achievable_transmission_rate(p_x, ch, make(q, s_star)), s_star

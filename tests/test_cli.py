@@ -11,9 +11,17 @@ import warnings
 import numpy as np
 import pytest
 
-from psrates import binary_entropy, bsc, likelihood_metric, uniform_pmf
+from psrates import (
+    binary_entropy,
+    bsc,
+    hard_decision_metric,
+    likelihood_metric,
+    map_quantizer,
+    mary_symmetric,
+    uniform_pmf,
+)
 from psrates import empirical, rates, typicality
-from psrates.cli import main
+from psrates.cli import _sweep_point, build_parser, main
 from psrates.rates import achievable_transmission_rate
 
 
@@ -83,6 +91,53 @@ class TestRatesCommand:
         assert d["r_ps"] == pytest.approx(expected, abs=1e-7)
         assert "s_star" in d
 
+    def test_optimize_s_family_follows_from_q(self, capsys, tmp_path):
+        # the Hamming metric read from a file is searched as the selector's is
+        ch = mary_symmetric(4, 0.1)
+        q = hard_decision_metric(map_quantizer(uniform_pmf(ch.input), ch), ch.input)
+        path = tmp_path / "hamming.json"
+        path.write_text(json.dumps({"input": {"symbols": list(ch.input.symbols)},
+                                    "output": {"symbols": list(ch.output.symbols)},
+                                    "rows": q.q.tolist()}))
+        argv = ("rates", "--optimize-s", "--channel", "mary:4,0.1", "--input", "uniform",
+                "--metric")
+        code, from_file, err = run_cli(capsys, *argv, str(path))
+        assert code == 0 and err == ""
+        assert from_file == run_cli(capsys, *argv, "hamming")[1]
+
+    def test_optimize_s_noiseless_likelihood(self, capsys):
+        # every column has one positive entry, so the exp family is searched
+        code, out, _ = run_cli(
+            capsys, "rates", "--optimize-s", "--channel", "mary:4,0",
+            "--input", "0.4,0.3,0.2,0.1", "--metric", "likelihood",
+        )
+        assert code == 0
+        assert json.loads(out)["r_ps"] == 1.8464393446710157
+
+    def test_optimize_s_reaches_unequal_column_constants(self, capsys, tmp_path):
+        # each output names its input, with column maxima 0.01 to 0.99: the
+        # likelihood metric is a 0/1 decoder, and the search reaches its rate
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"input": {"symbols": [0, 1]},
+                                    "output": {"symbols": [0, 1, 2, 3]},
+                                    "rows": [[0.5, 0.5, 0, 0], [0, 0, 0.01, 0.99]]}))
+        argv = ("rates", "--channel", str(path), "--input", "uniform", "--metric", "likelihood")
+        code, out, _ = run_cli(capsys, *argv, "--optimize-s")
+        assert code == 0
+        assert json.loads(out)["r_ps"] == json.loads(run_cli(capsys, *argv)[1])["r_ps"] == 1.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("flag", ["--power-s", "--exp-s"])
+    def test_bad_exponent_exits_2(self, capsys, flag, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "rates", "--channel", "mary:4,0.1", "--input", "uniform",
+                "--metric", "hamming", flag, value,
+            )
+        assert code == 2 and out == "" and caught == []
+        assert err == f"error: exponent must be finite and positive, got {float(value)}\n"
+
     def test_deterministic_output(self, capsys):
         argv = ["rates", "--channel", "bsc:0.11", "--input", "uniform",
                 "--metric", "likelihood"]
@@ -127,6 +182,31 @@ class TestSweepCommand:
         assert rows[0][-1] == "0"
         assert rows[-1][-1] == "1"  # eps=1.2 is out of range
         assert "1.2" in err
+
+    @pytest.mark.parametrize("start, stop", [
+        ("1", "inf"), ("nan", "1"), ("1", "-inf"),
+        ("-1.7e308", "1.7e308"),  # finite ends whose distance overflows
+    ])
+    def test_non_finite_ends_rejected(self, capsys, start, stop):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "sweep", "--channel", "mary:4,0.1", "--input", "uniform",
+                "--metric", "hamming", "--param", "s",
+                f"--start={start}", f"--stop={stop}", "--steps", "2",
+            )
+        assert code == 2 and out == "" and caught == []
+        assert err == (f"error: --start, --stop: need finite ends, "
+                       f"got {float(start)} and {float(stop)}\n")
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0])
+    def test_bad_exponent_point_flagged(self, capsys, s):
+        args = build_parser().parse_args([
+            "sweep", "--channel", "mary:4,0.1", "--input", "uniform", "--metric", "hamming",
+            "--param", "s", "--start", "1", "--stop", "2", "--steps", "2",
+        ])
+        assert _sweep_point(args, s)[-1] == "1"
+        assert "exponent must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("given, swept, param", [
         ("mary:4,0.9", "mary:4", "eps"),

@@ -14,10 +14,11 @@ from psrates import (
     bit_metric_product,
     bsc,
     divergence,
+    exp_transform,
     hard_decision_rate,
     likelihood_metric,
     metric_switch,
-    optimize_metric_exponent,
+    power_transform,
     uniform_pmf,
 )
 from psrates.channel import (
@@ -70,7 +71,19 @@ CASES = {
         lambda: bit_metric_product([np.ones((2, 3)), np.ones((3, 3))], GRAY4, Alphabet((0, 1, 2))),
         "2 x |Y|"),
     "switch-s-zero": (lambda: metric_switch(likelihood_metric(BSC), uniform_pmf(BSC.input), 0.0),
-                      "exponent must be positive"),
+                      "exponent must be finite and positive"),
+    "switch-s-nan": (lambda: metric_switch(likelihood_metric(BSC), uniform_pmf(BSC.input),
+                                           math.nan), "exponent must be finite and positive"),
+    "switch-s-inf": (lambda: metric_switch(likelihood_metric(BSC), uniform_pmf(BSC.input),
+                                           math.inf), "exponent must be finite and positive"),
+    "power-s-nan": (lambda: power_transform(likelihood_metric(BSC), math.nan),
+                    "exponent must be finite and positive"),
+    "power-s-inf": (lambda: power_transform(likelihood_metric(BSC), math.inf),
+                    "exponent must be finite and positive"),
+    "exp-s-nan": (lambda: exp_transform(likelihood_metric(BSC), math.nan),
+                  "exponent must be finite and positive"),
+    "exp-s-inf": (lambda: exp_transform(likelihood_metric(BSC), math.inf),
+                  "exponent must be finite and positive"),
     "switch-alphabet": (
         lambda: metric_switch(likelihood_metric(BSC), uniform_pmf(Alphabet(("a", "b"))), 1.0),
         "not on the metric input alphabet"),
@@ -81,10 +94,6 @@ CASES = {
         lambda: binary_hard_decision_rate(*_labeled_bsc4(), [Quantizer(Alphabet((0, 1, 2, 3)),
                                                                          (0, 0, 1, 1))]),
         "need 2 quantizers, got 1"),
-    "optimizer-family": (
-        lambda: optimize_metric_exponent(uniform_pmf(BSC.input), BSC, likelihood_metric(BSC),
-                                         family="linear"),
-        "unknown family 'linear'"),
 }
 
 

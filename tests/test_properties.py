@@ -34,6 +34,7 @@ from psrates import (
     icm_rate,
     lm_rate,
     metric_switch,
+    optimize_metric_exponent,
     posterior_metric,
     power_transform,
     product_alphabet,
@@ -415,6 +416,45 @@ def test_gmi_objective_equals_integrand(scenario, ss):
     f = _lm_objective(p, ch, q)
     for s in (1e-3, 1e3, *ss):
         assert f(s) == _gmi_integrand(p, ch, q, s)
+
+
+@st.composite
+def column_constant_scenarios(draw):
+    """(P_X, channel, metric c_y 1_A): in each column y the metric is a
+    constant c_y in 1e-5..1 on a random non-empty set A_y of inputs, 0 off
+    it, so the column constants can differ by four orders of magnitude. In
+    about half the draws the channel is moved inside A, W(y|x) > 0 only for
+    x in A_y, so that q has a finite rate."""
+    p, ch, _ = draw(scenarios())
+    nx, ny = len(p.alphabet), len(ch.output)
+    in_a = np.array([draw(st.lists(st.booleans(), min_size=nx, max_size=nx).filter(any))
+                     for _ in range(ny)]).T
+    if in_a.any(axis=1).all() and draw(st.booleans()):
+        w = (ch.w + 1) * in_a
+        ch = Dmc(ch.input, ch.output, w / w.sum(axis=1, keepdims=True))
+    c = [draw(st.floats(0.1, 1.0)) * 10.0 ** -draw(st.integers(0, 4)) for _ in range(ny)]
+    return p, ch, Metric(p.alphabet, ch.output, in_a * np.array(c))
+
+
+@given(column_constant_scenarios())
+def test_column_constant_metric_searches_exp_family(scenario):
+    # every q^s normalizes back to q, and so does the 0/1 metric on A, so the
+    # optimiser searches exp(s*1_A), whose members approach q as s grows, and
+    # gets at least q's rate up to rounding: off A, exp(s*1_A) keeps entries 1
+    # that a float sum may not drop
+    p, ch, q = scenario
+    rep, s_star = optimize_metric_exponent(p, ch, q)
+    assert rep.r_ps >= achievable_transmission_rate(p, ch, q).r_ps - 1e-12
+    on_a = Metric(q.input, q.output, q.q > 0)
+    assert rep == achievable_transmission_rate(p, ch, exp_transform(on_a, s_star))
+
+
+@given(scenarios())
+def test_generic_metric_searches_power_family(scenario):
+    p, ch, q = scenario
+    assume(any(len(set(col[col > 0])) > 1 for col in q.q.T))
+    rep, s_star = optimize_metric_exponent(p, ch, q)
+    assert rep == achievable_transmission_rate(p, ch, power_transform(q, s_star))
 
 
 # output 2 never occurs, so a metric column that vanishes there touches no
