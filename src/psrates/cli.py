@@ -227,9 +227,8 @@ def cmd_gmi(args):
 def cmd_lm(args):
     p_x, ch, q = _build_scenario(args)
     if args.weights == "inv-input":
-        if np.any(p_x.probs == 0):
-            raise CliError("--weights inv-input: input distribution has zeros")
-        r = 1.0 / p_x.probs
+        # lm_rate reads the weights only on the support of P_X
+        r = 1.0 / np.where(p_x.probs > 0, p_x.probs, 1.0)
     else:
         r = np.asarray(_parse_list(args.weights, "--weights"))
         if len(r) != len(ch.input):

@@ -128,7 +128,7 @@ def entropy(p):
     """Shannon entropy in bits; zero-probability symbols contribute 0."""
     probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
     pos = probs[probs > 0]
-    return float(-(pos * np.log2(pos)).sum())
+    return float(0.0 - (pos * np.log2(pos)).sum())
 
 
 def binary_entropy(eps):

@@ -12,6 +12,7 @@ import numpy as np
 
 from .channel import _check_input
 from .core import NumericalCheckError
+from .metric import _log2_ratio
 from .rates import _check_metric
 from .typicality import _check_block_length
 
@@ -41,15 +42,13 @@ class SequencePair:
 
 def _per_term_rates(pair, q):
     """(xi, terms, q_xy, col): the pair's input indices and, at each position
-    i, log2 q(x_i,y_i) / (sum_a q(a,y_i)/|X|), q(x_i,y_i) and sum_a q(a,y_i).
-    The terms equal q.log2_ratio()[xi, yi] bit for bit: the column sums are
-    taken over the whole table, as there, and then gathered."""
+    i, the code-rate term of (x_i, y_i), q(x_i,y_i) and sum_a q(a,y_i). The
+    column sums are taken over the whole table, as q.log2_ratio() takes
+    them, and then gathered."""
     xi = q.input.indices(pair.x_seq)
     yi = q.output.indices(pair.y_seq)
     q_xy, col = q.q[xi, yi], q.q.sum(axis=0)[yi]
-    with np.errstate(divide="ignore"):
-        terms = np.log2(q_xy) - np.log2(col / len(q.input))
-    return xi, terms, q_xy, col
+    return xi, _log2_ratio(q_xy, col, len(q.input)), q_xy, col
 
 
 def empirical_code_rate(pair, q):

@@ -1,8 +1,8 @@
 """Decoding metrics on X x Y and their order-preserving transformations.
 
-A metric is any non-negative score matrix with positive column sums. The
-per-output normalization q(.,b)/sum_a q(a,b) plays the role of the posterior
-distribution the decoder assumes, so zero columns are construction errors.
+A metric is any finite, non-negative score matrix. A zero marks a pair, and
+an all-zero column an output, that the decoder deems impossible; U decides
+the cost: +inf where q vanishes on a pair of positive probability, else 0.
 """
 
 from dataclasses import dataclass, field
@@ -23,16 +23,12 @@ class Metric:
 
     def __post_init__(self):
         q = _frozen_array(self.q, (len(self.input), len(self.output)), "metric entries")
-        if np.any(q.sum(axis=0) <= 0):
-            raise ValueError("every metric column needs a positive entry")
         object.__setattr__(self, "q", q)
 
     def log2_ratio(self):
-        """Per-symbol code-rate term log2 q(a,b) - log2(sum_a' q(a',b)/|X|),
-        -inf at zeros; its mean over a transmitted sequence is the
-        empirical achievable code rate."""
-        with np.errstate(divide="ignore"):
-            return np.log2(self.q) - np.log2(self.q.sum(axis=0) / len(self.input))
+        """Per-symbol code-rate term (_log2_ratio) at every entry; its mean
+        over a transmitted sequence is the empirical achievable code rate."""
+        return _log2_ratio(self.q, self.q.sum(axis=0), len(self.input))
 
     @classmethod
     def from_json_dict(cls, d):
@@ -41,6 +37,13 @@ class Metric:
             Alphabet.from_json_dict(d["output"]),
             np.asarray(d["rows"], dtype=float),
         )
+
+
+def _log2_ratio(q_ab, col, nx):
+    """Code-rate term log2 q(a,b) - log2(sum_a' q(a',b)/|X|) of entries q_ab
+    with column sums col and nx = |X|; -inf where q_ab = 0, all-zero columns too."""
+    with np.errstate(divide="ignore"):
+        return np.log2(q_ab) - np.log2(np.where(col > 0, col, 1.0) / nx)
 
 
 @dataclass(frozen=True)
@@ -57,12 +60,9 @@ class Quantizer:
 
 
 def posterior_metric(p_x, ch):
-    """Posterior P(x|y) as decoding metric."""
-    post = posterior(p_x, ch)
-    # unreachable outputs have zero columns; score them uniformly
-    dead = post.sum(axis=0) == 0
-    post[:, dead] = 1.0 / len(ch.input)
-    return Metric(ch.input, ch.output, post)
+    """Posterior P(x|y) as decoding metric. An unreachable output's column is
+    all zero: the decoder deems it impossible, and U charges nothing for it."""
+    return Metric(ch.input, ch.output, posterior(p_x, ch))
 
 
 def likelihood_metric(ch):

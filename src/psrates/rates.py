@@ -89,7 +89,7 @@ class _Scenario:
             return math.inf, None, None
         denom = _masked(qs.sum(axis=0), self.mask)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return float(-(self.joint * np.log2(qm / denom)).sum()), qm, denom
+            return float(0.0 - (self.joint * np.log2(qm / denom)).sum()), qm, denom
 
 
 def uncertainty(p_x, ch, q):

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from psrates import (
+    Pmf,
     binary_entropy,
     bsc,
     hard_decision_metric,
     likelihood_metric,
     map_quantizer,
     mary_symmetric,
+    posterior_metric,
     uniform_pmf,
 )
 from psrates import empirical, rates, typicality
@@ -54,6 +56,25 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, argv):
     assert code == 0, err
 
 
+def test_readme_library_example(capsys):
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [float(t) for t in capsys.readouterr().out.split()]
+    ch = bsc(0.11)
+    p = Pmf(ch.input, np.array([0.7, 0.3]))
+    rep = achievable_transmission_rate(p, ch, posterior_metric(p, ch))
+    assert printed == [rep.r_ps, rep.t_c, rep.divergence_to_uniform]
+
+
+def _table_file(path, rows):
+    """path, holding a channel or metric JSON file of rows on integer symbols."""
+    path.write_text(json.dumps({"input": {"symbols": list(range(len(rows)))},
+                                "output": {"symbols": list(range(len(rows[0])))},
+                                "rows": rows}))
+    return str(path)
+
+
 class TestRatesCommand:
     def test_bsc_posterior_json(self, capsys):
         code, out, err = run_cli(
@@ -73,8 +94,6 @@ class TestRatesCommand:
         )
         d = json.loads(out)
         ch = bsc(0.2)
-        from psrates import Pmf
-
         p = Pmf(ch.input, np.array([0.7, 0.3]))
         rep = achievable_transmission_rate(p, ch, likelihood_metric(ch))
         assert d["r_ps"] == pytest.approx(rep.r_ps, abs=1e-12)
@@ -137,6 +156,46 @@ class TestRatesCommand:
             )
         assert code == 2 and out == "" and caught == []
         assert err == f"error: exponent must be finite and positive, got {float(value)}\n"
+
+    def test_likelihood_with_all_zero_channel_columns(self, capsys):
+        # erf rounds the far tail cells of this channel to 0, so whole
+        # likelihood columns are 0; those outputs never occur
+        code, out, err = run_cli(
+            capsys, "rates", "--channel", "awgn-ask:8,0.6,4096", "--input", "mb:0.05",
+            "--metric", "likelihood",
+        )
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        forms = [d[f"r_ps_{k}_perspective"] for k in ("uncertainty", "divergence", "output")]
+        assert forms == pytest.approx([d["r_ps"]] * 3, abs=1e-10)
+        assert math.isfinite(d["r_ps"]) and d["r_ps"] <= d["mutual_information"]
+
+    def test_all_zero_metric_column(self, capsys, tmp_path):
+        # the metric deems output 2 impossible; it occurs on one channel only
+        used = _table_file(tmp_path / "used.json", [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]])
+        unused = _table_file(tmp_path / "unused.json", [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]])
+        zero = _table_file(tmp_path / "zero.json", [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]])
+        const = _table_file(tmp_path / "const.json", [[0.9, 0.1, 0.5], [0.2, 0.8, 0.5]])
+
+        def report(channel, metric):
+            code, out, err = run_cli(capsys, "rates", "--channel", channel,
+                                     "--input", "0.6,0.4", "--metric", metric)
+            assert code == 0 and err == ""
+            return out
+
+        assert json.loads(report(used, zero))["uncertainty"] == math.inf
+        assert report(unused, zero) == report(unused, const)
+
+    @pytest.mark.parametrize("channel, input_, metric", [
+        ("mary:4,0", "uniform", "posterior"),
+        ("bsc:0", "0.7,0.3", "likelihood"),
+        ("bsc:0", "1,0", "likelihood"),  # H(X) = 0 too
+    ])
+    def test_zero_is_unsigned(self, capsys, channel, input_, metric):
+        code, out, _ = run_cli(capsys, "rates", "--channel", channel, "--input", input_,
+                               "--metric", metric)
+        assert code == 0 and json.loads(out)["uncertainty"] == 0.0
+        assert "-0.0" not in out
 
     def test_deterministic_output(self, capsys):
         argv = ["rates", "--channel", "bsc:0.11", "--input", "uniform",
@@ -244,6 +303,15 @@ class TestSweepCommand:
         assert rows == [[v, "", "", "", "", "", "", "1"] for v in ("0.5", "1", "1.5")]
         assert err.count("does not match channel input size") == 3
 
+    def test_likelihood_sigma_sweep_with_all_zero_channel_columns(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--channel", "awgn-ask:8,0.3,4096", "--input", "mb:0.05",
+            "--metric", "likelihood", "--param", "sigma",
+            "--start", "0.3", "--stop", "2.0", "--steps", "4",
+        )
+        assert code == 0 and err == ""
+        assert [l.split(",")[-1] for l in out.strip().split("\n")[2:]] == ["0"] * 4
+
     def test_s_sweep_peaks_at_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--channel", "bsc:0.11", "--input", "uniform",
@@ -288,6 +356,18 @@ class TestLmCommand:
         assert json.loads(out_lm)["lm_rate"] == pytest.approx(
             json.loads(out_rates)["r_ps"], abs=1e-10
         )
+
+    def test_inv_input_weights_with_zero_probability_symbol(self, capsys):
+        # lm_rate reads the weights only on the support of P_X
+        code, out, err = run_cli(
+            capsys, "lm", "--channel", "mary:4,0.1", "--input", "0.5,0.3,0.2,0",
+            "--metric", "likelihood", "--s", "1",
+        )
+        assert code == 0 and err == ""
+        ch = mary_symmetric(4, 0.1)
+        p = Pmf(ch.input, np.array([0.5, 0.3, 0.2, 0.0]))
+        r = np.array([1 / 0.5, 1 / 0.3, 1 / 0.2, 1.0])
+        assert json.loads(out)["lm_rate"] == rates.lm_rate(p, ch, likelihood_metric(ch), 1.0, r)
 
     def test_bad_weights_length(self, capsys):
         code, _, err = run_cli(
@@ -369,7 +449,7 @@ class TestSimulateCommand:
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"error: --per-trial-csv: cannot write {str(path)!r} (")
 
     def test_failed_run_keeps_existing_per_trial_csv(self, tmp_path, monkeypatch):

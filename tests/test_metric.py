@@ -24,6 +24,7 @@ from psrates import (
     power_transform,
     uniform_pmf,
 )
+from psrates.rates import _lm_objective
 
 GRAY4 = Alphabet((0, 1, 2, 3), labels=("00", "01", "11", "10"))
 
@@ -41,9 +42,11 @@ def random_channel(rng, nx, ny):
 
 
 class TestMetricType:
-    def test_rejects_zero_column(self):
-        with pytest.raises(ValueError):
-            Metric(Alphabet((0, 1)), Alphabet((0, 1)), np.array([[1.0, 0.0], [1.0, 0.0]]))
+    def test_accepts_zero_column(self):
+        # an all-zero column marks an output the decoder deems impossible;
+        # its code-rate terms are -inf, with no NaN and no RuntimeWarning
+        q = Metric(Alphabet((0, 1)), Alphabet((0, 1)), np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert np.array_equal(q.log2_ratio(), [[0.0, -np.inf], [0.0, -np.inf]])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -68,6 +71,14 @@ class TestPosteriorMetric:
         qp = posterior_metric(uniform_pmf(ch.input), ch)
         ql = likelihood_metric(ch)
         assert np.array_equal(argmax_mask(qp), argmax_mask(ql))
+
+    def test_unreachable_output_column_is_zero(self):
+        # output 2 never occurs: the metric is the posterior, zero column too
+        w = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]])
+        ch = Dmc(Alphabet((0, 1)), Alphabet((0, 1, 2)), w)
+        p = Pmf(ch.input, np.array([0.6, 0.4]))
+        q = posterior_metric(p, ch)
+        assert np.array_equal(q.q, posterior(p, ch)) and not q.q[:, 2].any()
 
     def test_noiseless_is_permutation_pattern(self):
         ch = mary_symmetric(3, 0.0)
@@ -227,3 +238,14 @@ class TestMetricSwitch:
             p, ch, power_transform(metric_switch(q, p, s_star), s_star)
         )
         assert rep.r_ps_by_perspective[0] == pytest.approx(rate, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+    def test_zero_probability_symbol_reproduces_gmi_family(self, s):
+        # symbol 3 has probability 0, so the switched metric's column 3 is 0
+        ch = mary_symmetric(4, 0)
+        p = Pmf(ch.input, np.array([0.5, 0.3, 0.2, 0.0]))
+        q = likelihood_metric(ch)
+        switched = power_transform(metric_switch(q, p, s), s)
+        assert not switched.q[:, 3].any()
+        rep = achievable_transmission_rate(p, ch, switched)
+        assert rep.r_ps_by_perspective[0] == pytest.approx(_lm_objective(p, ch, q)(s), abs=1e-12)
