@@ -7,11 +7,16 @@ the grid spec and testable by refinement.
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import Alphabet, Pmf, _frozen_array
+
+# Held while a channel builds its sampling table.
+_GUIDE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,25 @@ class Dmc:
         w = _frozen_array(self.w, shape, "channel probabilities", normalize=True)
         object.__setattr__(self, "w", w)
 
+    @cached_property
+    def _guide(self):
+        """_guide_table of the |X| unnormalised cumulative rows of w, with
+        8 |Y| buckets rounded up to a power of two and at least 2^8. The
+        table takes 256 bytes a row up to 32 outputs, and at most 4 times
+        the rows' bytes from there to 65,535. Built at the first
+        sample_channel_outputs call and reused by every later one."""
+        # cached_property takes no lock from Python 3.12 on; this one keeps
+        # two simulator workers from both building the table
+        with _GUIDE_LOCK:
+            if "_guide" not in self.__dict__:
+                buckets = 1 << max(8, (8 * len(self.output) - 1).bit_length())
+                guide = _guide_table(np.cumsum(self.w, axis=1), buckets)
+                # shared by every caller, like w
+                for a in guide:
+                    a.setflags(write=False)
+                self.__dict__["_guide"] = guide
+            return self.__dict__["_guide"]
+
     @classmethod
     def from_json_dict(cls, d):
         return cls(
@@ -34,6 +58,32 @@ class Dmc:
             Alphabet.from_json_dict(d["output"]),
             np.asarray(d["rows"], dtype=float),
         )
+
+
+def _guide_table(cum, buckets):
+    """(scaled, table): the (rows, k) cumulative array cum, non-decreasing
+    along each row, times the power of two `buckets`, and its guide table
+    of (rows, buckets) entries of the smallest unsigned type that holds k.
+
+    A uniform u in [0, 1) lies in bucket floor(u * buckets) of its row. The
+    table gives, for each bucket [b, b + 1), the number of scaled entries
+    <= every point of it, which is the number of row entries <= u, or k
+    when an entry lies inside it (an open bucket) and u must be searched
+    for. A bucket past every entry also reads k, which a search returns
+    there too. Scaling by a power of two is exact, so the table agrees with
+    searchsorted(cum[row], u, side="right") for every u.
+    """
+    scaled = cum * buckets
+    k = scaled.shape[1]
+    table = np.empty((len(scaled), buckets), np.min_scalar_type(k))
+    for row, out in zip(scaled, table):
+        # entry j counts in every bucket from floor(row[j]) on, so count j
+        # fills the buckets between the floors of entries j - 1 and j
+        floor = np.floor(row)
+        steps = np.diff(np.minimum(floor, buckets).astype(np.intp), prepend=0, append=buckets)
+        out[:] = np.repeat(np.arange(k + 1, dtype=table.dtype), steps)
+        out[floor[(floor != row) & (floor < buckets)].astype(np.intp)] = k
+    return scaled, table
 
 
 @dataclass(frozen=True)

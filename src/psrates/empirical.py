@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_input
+from .channel import _check_input, _guide_table
 from .core import NumericalCheckError
 from .metric import _log2_ratio
 from .rates import _check_metric
@@ -88,6 +88,12 @@ def composition_sorted_rate(pair, q):
 
 def exact_composition_sequence(p_x, n, rng):
     """Random permutation of the largest-remainder rounding of n * P_X."""
+    return rng.permutation(_composition(p_x, n))
+
+
+def _composition(p_x, n):
+    """The largest-remainder rounding of n * P_X as n symbol indices in
+    increasing order."""
     _check_block_length(n)
     target = p_x.probs * n
     base = np.floor(target).astype(int)
@@ -95,32 +101,43 @@ def exact_composition_sequence(p_x, n, rng):
     if short:
         order = np.argsort(-(target - base), kind="stable")
         base[order[:short]] += 1
-    seq = np.repeat(np.arange(len(p_x.alphabet)), base)
-    return rng.permutation(seq)
+    return np.repeat(np.arange(len(p_x.alphabet)), base)
 
 
 def sample_channel_outputs(ch, x_idx, rng):
     """Sample output indices for given input indices through the channel.
 
-    Inverse-CDF sampling: one uniform draw per position, located by binary
-    search in the cumulative row of its input symbol. The rows never
-    decrease, so side="right" returns the number of entries <= u. Cost is
-    O(|X| |Y|) for the cumulative rows, built on every call, plus
-    O(n log |Y|) and one pass over x_idx per input symbol.
+    Inverse-CDF sampling: one uniform u per position, mapped to the number
+    of entries <= u in the cumulative row of its input symbol, clamped to
+    |Y| - 1 for rows that sum to just under one. The channel's guide table
+    (channel._guide_table, built at the first call and kept on ch) gives
+    that number by u's bucket; only uniforms in a bucket with an entry
+    inside it are searched for, row by row. Cost is O(n) plus a binary
+    search per searched uniform and a pass over them per input symbol
+    among them.
     """
     x_idx = np.asarray(x_idx)
     if x_idx.dtype.kind not in "iu":
         raise ValueError(f"input indices must be integers, got dtype {x_idx.dtype}")
-    cum = np.cumsum(ch.w, axis=1)
-    if len(x_idx) and not 0 <= x_idx.min() <= x_idx.max() < len(cum):
+    if len(x_idx) and not 0 <= x_idx.min() <= x_idx.max() < len(ch.input):
         raise ValueError("input index out of range")
+    scaled, table = ch._guide
+    ny, buckets = scaled.shape[1], table.shape[1]
     u = rng.random(len(x_idx))
-    y = np.empty(len(x_idx), dtype=np.intp)
-    # not np.unique: it imports numpy.ma on first use, about 1 MB and 0.1 s
-    for a in range(len(cum)):
-        sel = x_idx == a
-        y[sel] = np.searchsorted(cum[a], u[sel], side="right")
-    return np.minimum(y, len(ch.output) - 1)
+    u *= buckets
+    # the flat table index x * buckets + floor(u * buckets) of each position
+    cell = np.multiply(x_idx, buckets, dtype=np.intp)
+    cell += u.astype(np.intp)
+    y = table.reshape(-1).take(cell)
+    open_ = np.flatnonzero(y == ny)
+    y = y.astype(np.intp)
+    if open_.size:
+        x_open, u_open = x_idx[open_], u[open_]
+        # not np.unique: it imports numpy.ma on first use, about 1 MB and 0.1 s
+        for a in set(x_open.tolist()):
+            sel = x_open == a
+            y[open_[sel]] = scaled[a].searchsorted(u_open[sel], "right")
+    return np.minimum(y, ny - 1, out=y)
 
 
 class _IidDraw:
@@ -129,25 +146,18 @@ class _IidDraw:
 
     choice computes cdf.searchsorted(rng.random(m), "right"), the number of
     cdf entries <= each uniform. Here the same uniforms, scaled exactly by
-    _GUIDE_BUCKETS, take that number from a guide table by their integer
-    part; only those in a bucket with a cdf entry inside it are searched.
-    The table takes 1 byte per bucket up to 255 symbols and 2 up to 65,535,
-    and the uniforms and bucket indices 16 bytes per draw of a block of
-    min(size, _IID_BLOCK) draws.
+    _GUIDE_BUCKETS, take that number from the guide table of the normalised
+    cdf (channel._guide_table) by their integer part; only those in a bucket
+    with a cdf entry inside it are searched. The table takes 1 byte per
+    bucket up to 255 symbols and 2 up to 65,535, and the uniforms and bucket
+    indices 16 bytes per draw of a block of min(size, _IID_BLOCK) draws.
     """
 
     def __init__(self, probs, size):
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        self.scaled = cdf * _GUIDE_BUCKETS
-        # for each bucket [b, b + 1), the number of scaled entries <= every
-        # point of it, or len(probs) when an entry lies inside it: entry k
-        # counts in every bucket from floor(scaled[k]) on, so the last,
-        # _GUIDE_BUCKETS, counts in none, and no count reaches len(probs)
-        floor = np.floor(self.scaled)
-        steps = np.diff(floor.astype(np.intp), prepend=0)
-        self.table = np.repeat(np.arange(len(probs), dtype=np.min_scalar_type(len(probs))), steps)
-        self.table[floor[floor != self.scaled].astype(np.intp)] = len(probs)
+        scaled, table = _guide_table(cdf[None], _GUIDE_BUCKETS)
+        self.scaled, self.table = scaled[0], table[0]
         block = min(size, _IID_BLOCK)
         self.u, self.bucket = np.empty(block), np.empty(block, np.intp)
 
@@ -194,16 +204,20 @@ def monte_carlo_t_c(p_x, ch, q, n, trials, rng_seed, composition="iid"):
     if composition == "iid":
         draw = _IidDraw(p_x.probs, n)
         x = np.empty(n, draw.table.dtype)
-    ratio = q.log2_ratio()
+    else:
+        symbols = _composition(p_x, n)
+    # ratio[x, y] is the flat ratio at x |Y| + y, gathered in the same order
+    ratio, ny = q.log2_ratio().reshape(-1), len(ch.output)
     values = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([rng_seed, t])
         if composition == "iid":
             draw.fill(rng, x)
         else:
-            x = exact_composition_sequence(p_x, n, rng)
-        y = sample_channel_outputs(ch, x, rng)
-        values[t] = ratio[x, y].mean()
+            x = rng.permutation(symbols)
+        cell = sample_channel_outputs(ch, x, rng)
+        cell += np.multiply(x, ny, dtype=np.intp)
+        values[t] = ratio.take(cell).mean()
     mean = float(values.mean())
     if trials < 2 or not np.isfinite(values).all():
         agree = trials > 1 and (values == values[0]).all()

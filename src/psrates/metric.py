@@ -82,7 +82,9 @@ def power_transform(q, s):
     # quantized-channel metrics are mostly zeros
     pos = q.q > 0
     qs = np.zeros(q.q.shape)
-    qs[pos] = q.q[pos] ** s
+    # an overflow to inf is refused by Metric as not finite
+    with np.errstate(over="ignore"):
+        qs[pos] = q.q[pos] ** s
     return Metric(q.input, q.output, qs)
 
 

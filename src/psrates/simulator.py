@@ -29,8 +29,11 @@ the chunk through 16 bytes per cell of a block of at most _IID_BLOCK cells
 The layered-ps draw's raw outputs take 4 bytes per cell drawn, 12 when |X|
 is not a power of two; the workers draw under one lock, so no buffer's life
 depends on how they interleave, and neither does the peak. Beyond that a
-run holds O(|X| |Y|) for the decoder table, and a trial O(n |X|) plus the
-|X| x |Y| cumulative rows that sample_channel_outputs builds.
+run holds O(|X| |Y|) for the decoder table, and a trial O(n |X|). The
+channel keeps its |X| cumulative rows, 8 |Y| bytes each, and their guide
+table, built by the first sample_channel_outputs call on it and shared by
+both workers (channel.Dmc._guide): 256 bytes a row up to 32 outputs, 8 |Y|
+to 16 |Y| up to 255 and 16 |Y| to 32 |Y| from 256 to 65,535.
 
 The draw of u follows the whole codebook in the stream, and the encoding scan
 and x read the rows of block u, all before y exists. Both come from a spare

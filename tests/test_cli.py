@@ -124,6 +124,30 @@ class TestRatesCommand:
         assert code == 0 and err == ""
         assert from_file == run_cli(capsys, *argv, "hamming")[1]
 
+    def test_optimize_s_power_overflow_is_silent(self, capsys):
+        # exp(7 q) reaches e^7, so the search's large powers overflow; such a
+        # member is refused as not finite, without a RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "rates", "--optimize-s", "--channel", "mary:4,0.1",
+                "--input", "0.4,0.3,0.2,0.1", "--metric", "posterior", "--exp-s", "7",
+            )
+        assert code == 0 and err == "" and caught == []
+        assert json.loads(out) == {
+            "clamped": False,
+            "divergence_to_uniform": 0.15356065532898433,
+            "entropy_input": 1.8464393446710157,
+            "mutual_information": 1.2591371289985767,
+            "r_ps": 1.243588701713191,
+            "r_ps_divergence_perspective": 1.2435887017131915,
+            "r_ps_output_perspective": 1.243588701713191,
+            "r_ps_uncertainty_perspective": 1.243588701713191,
+            "s_star": 0.5573667542844957,
+            "t_c": 1.3971493570421754,
+            "uncertainty": 0.6028506429578246,
+        }
+
     def test_optimize_s_noiseless_likelihood(self, capsys):
         # every column has one positive entry, so the exp family is searched
         code, out, _ = run_cli(

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,7 +25,8 @@ from psrates import (
     sample_channel_outputs,
     uniform_pmf,
 )
-from psrates import empirical
+from psrates import channel, empirical
+from psrates.channel import GridSpec, ask_constellation, awgn_quantized
 
 
 class TestSequencePair:
@@ -148,6 +151,205 @@ def comparison_count_sample(ch, x_idx, rng):
     u = rng.random(len(x_idx))
     rows = cum[x_idx]
     return np.minimum((u[:, None] >= rows).sum(axis=1), len(ch.output) - 1)
+
+
+def searchsorted_sample(ch, x_idx, rng):
+    """Reference sampler: a binary search in the cumulative row of each
+    position's input symbol, rows built on every call, one pass per symbol."""
+    x_idx = np.asarray(x_idx)
+    cum = np.cumsum(ch.w, axis=1)
+    u = rng.random(len(x_idx))
+    y = np.empty(len(x_idx), dtype=np.intp)
+    for a in range(len(cum)):
+        sel = x_idx == a
+        y[sel] = np.searchsorted(cum[a], u[sel], side="right")
+    return np.minimum(y, len(ch.output) - 1)
+
+
+class Replay:
+    """Stands in for a generator whose next uniforms are `values`."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+def _random_channel(rng, nx, ny):
+    """A channel with about 30 % zero entries and every row's first kept."""
+    w = rng.dirichlet(np.ones(ny), size=nx)
+    w[rng.random((nx, ny)) < 0.3] = 0.0
+    w[:, 0] += 1e-3
+    return Dmc(Alphabet(tuple(range(nx))), Alphabet(tuple(range(ny))),
+               w / w.sum(axis=1, keepdims=True))
+
+
+def _rows_ending_off_one():
+    """A 6 x 7 channel whose cumulative rows end below, at and above 1."""
+    rng = np.random.default_rng(61)
+    while True:
+        ch = Dmc(Alphabet(tuple(range(6))), Alphabet(tuple(range(7))),
+                 rng.dirichlet(np.ones(7), size=6))
+        ends = np.cumsum(ch.w, axis=1)[:, -1]
+        if (ends < 1).any() and (ends == 1).any() and (ends > 1).any():
+            return ch
+
+
+def _edge_uniforms(ch):
+    """(x, u): for every input symbol, uniforms on its cumulative entries,
+    one step either side of them, and on and just below every bucket edge."""
+    buckets = ch._guide[1].shape[1]
+    edges = np.arange(buckets) / buckets
+    xs, us = [], []
+    for a, row in enumerate(np.cumsum(ch.w, axis=1)):
+        u = np.concatenate((row, np.nextafter(row, 0), np.nextafter(row, 2),
+                            edges, np.nextafter(edges, 0), [np.nextafter(1.0, 0)]))
+        u = u[(u >= 0) & (u < 1)]
+        xs.append(np.full(len(u), a))
+        us.append(u)
+    return np.concatenate(xs), np.concatenate(us)
+
+
+class TestGuideTableSampler:
+    # the guide table gives the values and generator state of the binary
+    # search in the cumulative rows, searchsorted_sample
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 5), (2, 2), (8, 31), (8, 32),
+                                       (4, 33), (5, 255), (3, 256), (8, 600)])
+    def test_uniforms_on_entries_and_bucket_edges(self, shape):
+        ch = _random_channel(np.random.default_rng(shape), *shape)
+        x, u = _edge_uniforms(ch)
+        got = sample_channel_outputs(ch, x, Replay(u))
+        assert np.array_equal(got, searchsorted_sample(ch, x, Replay(u)))
+
+    @pytest.mark.parametrize("cells", [512, 4096])
+    def test_awgn_channel_edges(self, cells):
+        # most cumulative entries crowd a few buckets near 0 and 1
+        ch = awgn_quantized(ask_constellation(8), 0.5, GridSpec(cells))
+        x, u = _edge_uniforms(ch)
+        got = sample_channel_outputs(ch, x, Replay(u))
+        assert np.array_equal(got, searchsorted_sample(ch, x, Replay(u)))
+
+    def test_rows_ending_off_one_are_clamped(self):
+        ch = _rows_ending_off_one()
+        x, u = _edge_uniforms(ch)
+        got = sample_channel_outputs(ch, x, Replay(u))
+        assert np.array_equal(got, searchsorted_sample(ch, x, Replay(u)))
+        # u = 1 - 2^-53 lies past the last entry of a row that ends below 1,
+        # where both count 7 entries: the clamp ran
+        short = np.flatnonzero(np.cumsum(ch.w, axis=1)[:, -1] < 1)
+        top = np.isin(x, short) & (u == np.nextafter(1.0, 0))
+        assert top.any() and np.all(got[top] == 6)
+
+    def test_subnormal_and_lost_steps(self):
+        w = np.full((2, 300), 1e-310)
+        w[:, 150:] = np.random.default_rng(62).dirichlet(np.ones(150), size=2)
+        ch = Dmc(Alphabet((0, 1)), Alphabet(tuple(range(300))), w)
+        x, u = _edge_uniforms(ch)
+        got = sample_channel_outputs(ch, x, Replay(u))
+        assert np.array_equal(got, searchsorted_sample(ch, x, Replay(u)))
+
+    @pytest.mark.parametrize("kind", ["uint8", "int64", "list"])
+    def test_input_types_keep_values_and_stream(self, kind):
+        rng = np.random.default_rng(63)
+        for trial in range(30):
+            ch = _random_channel(rng, int(rng.integers(1, 9)), int(rng.integers(1, 700)))
+            x = rng.integers(0, len(ch.input), size=int(rng.integers(0, 3001)))
+            x = x.tolist() if kind == "list" else x.astype(kind)
+            if kind == "list" and not x:
+                continue
+            ours, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = sample_channel_outputs(ch, x, ours)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, searchsorted_sample(ch, x, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_table_within_a_multiple_of_the_rows(self):
+        for ny in (1, 31, 32, 33, 255, 256, 512, 4096, 5000):
+            ch = _random_channel(np.random.default_rng(ny), 3, ny)
+            scaled, table = ch._guide
+            assert not scaled.flags.writeable and not table.flags.writeable
+            rows_bytes = scaled.nbytes
+            assert table.nbytes <= max(4 * rows_bytes, 3 * 256), ny
+
+    def test_table_built_once_per_channel(self, monkeypatch):
+        builds = []
+
+        def counted(cum, buckets):
+            builds.append(cum.shape)
+            return build(cum, buckets)
+
+        build = channel._guide_table
+        monkeypatch.setattr(channel, "_guide_table", counted)
+        ch = bsc(0.1)
+        p, q = uniform_pmf(ch.input), likelihood_metric(ch)
+        for composition in ("iid", "exact"):
+            monte_carlo_t_c(p, ch, q, n=50, trials=7, rng_seed=5, composition=composition)
+        sample_channel_outputs(ch, [0, 1], np.random.default_rng(0))
+        assert builds == [(2, 2)]
+        sample_channel_outputs(bsc(0.1), [0, 1], np.random.default_rng(0))
+        assert builds == [(2, 2)] * 2
+
+    def test_threads_share_one_table(self, monkeypatch):
+        # eight threads sample a fresh channel at once, the interpreter lock
+        # handed over every microsecond: one build, and every thread's
+        # values those of the reference
+        builds, build = [], channel._guide_table
+
+        def counted(cum, buckets):
+            builds.append(cum.shape)
+            return build(cum, buckets)
+
+        monkeypatch.setattr(channel, "_guide_table", counted)
+        ch = awgn_quantized(ask_constellation(8), 0.5, GridSpec(512))
+        x = np.random.default_rng(66).integers(0, 8, 2000)
+        start, results = threading.Barrier(8), [None] * 8
+
+        def work(i):
+            start.wait(10)
+            results[i] = sample_channel_outputs(ch, x, np.random.default_rng(i))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert builds == [(8, 512)]
+        for i, got in enumerate(results):
+            assert np.array_equal(got, searchsorted_sample(ch, x, np.random.default_rng(i)))
+
+
+def test_guide_table_counts_entries():
+    # unnormalised rows, some summing well below 1, so that buckets past
+    # every entry read k, and bucket counts from 1 up
+    rng = np.random.default_rng(64)
+    for trial in range(60):
+        rows, k = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        w = rng.random((rows, k)) * (rng.random((rows, k)) < 0.7)
+        cum = np.cumsum(w, axis=1)
+        cum /= cum[:, -1:].max(initial=0) * rng.uniform(0.95, 3.0) or 1.0
+        buckets = 1 << int(rng.integers(0, 9))
+        scaled, table = channel._guide_table(cum, buckets)
+        assert table.shape == (rows, buckets)
+        u = np.concatenate((cum.ravel(), np.nextafter(cum.ravel(), 0),
+                            np.nextafter(cum.ravel(), 1), np.arange(buckets) / buckets,
+                            rng.random(200)))
+        u = u[(u >= 0) & (u < 1)]
+        for r in range(rows):
+            want = cum[r].searchsorted(u, "right")
+            got = table[r, (u * buckets).astype(np.intp)].astype(np.intp)
+            exact = got < k
+            assert np.array_equal(got[exact], want[exact])
+            got[~exact] = scaled[r].searchsorted(u[~exact] * buckets, "right")
+            assert np.array_equal(got, want)
 
 
 class TestSampleChannelOutputs:
@@ -290,6 +492,52 @@ class TestMonteCarloTc:
             values.append(q.log2_ratio()[x, sample_channel_outputs(ch, x, rng)].mean())
         assert res.mean == float(np.mean(values))
         assert res.std_error == float(np.std(values, ddof=1) / math.sqrt(7))
+
+
+def reference_monte_carlo(p_x, ch, q, n, trials, rng_seed, composition):
+    """(mean, std_error) of the Monte-Carlo loop gathering ratio[x, y] per
+    trial, with x from rng.choice or exact_composition_sequence and y from
+    searchsorted_sample."""
+    ratio = q.log2_ratio()
+    values = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng([rng_seed, t])
+        if composition == "iid":
+            x = rng.choice(len(p_x.probs), size=n, p=p_x.probs)
+        else:
+            x = exact_composition_sequence(p_x, n, rng)
+        values[t] = ratio[x, searchsorted_sample(ch, x, rng)].mean()
+    mean = float(values.mean())
+    if trials < 2 or not np.isfinite(values).all():
+        agree = trials > 1 and (values == values[0]).all()
+        return mean, 0.0 if agree else math.inf
+    return mean, float(values.std(ddof=1) / math.sqrt(trials))
+
+
+@pytest.mark.parametrize("composition", ["iid", "exact"])
+def test_monte_carlo_matches_reference_loop(composition):
+    # random scenarios, some with metric zeros on pairs the channel reaches
+    # (trials of -inf), some with zero-probability inputs
+    rng = np.random.default_rng(65)
+    seen = set()
+    for trial in range(40):
+        nx, ny = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+        ch = _random_channel(rng, nx, ny)
+        probs = rng.dirichlet(np.ones(nx))
+        if nx > 1 and rng.random() < 0.3:
+            probs[rng.integers(nx)] = 0.0
+        p = Pmf(ch.input, probs / probs.sum())
+        q = rng.random((nx, ny)) * (rng.random((nx, ny)) < rng.choice([0.5, 0.97, 1.0]))
+        q = Metric(ch.input, ch.output, q)
+        n, trials = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = monte_carlo_t_c(p, ch, q, n, trials, trial, composition=composition)
+        want = reference_monte_carlo(p, ch, q, n, trials, trial, composition)
+        assert (res.mean, res.std_error) == want, trial
+        seen.add((math.isfinite(res.mean),
+                  res.std_error if res.std_error in (0.0, math.inf) else "finite"))
+    assert {(False, 0.0), (False, math.inf), (True, "finite")} <= seen
 
 
 def _iid_probs(nx, kind):

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from psrates import (
     sample_channel_outputs,
     uniform_pmf,
 )
-from psrates import simulator
+from psrates import channel, simulator
 from psrates.cli import main
 
 
@@ -546,6 +547,24 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert split == serial
+
+    def test_channel_table_built_once(self, monkeypatch):
+        # both workers sample in their first trials; a slow build makes the
+        # second arrive while the first builds, and it waits for that table
+        builds, build = [], channel._guide_table
+
+        def slow(cum, buckets):
+            builds.append(threading.current_thread().name)
+            time.sleep(0.05)
+            return build(cum, buckets)
+
+        monkeypatch.setattr(channel, "_guide_table", slow)
+        cfg = dataclasses.replace(self._cases()["classical-odd-n-nx3"], trials=4)
+        split, _ = _run_on(monkeypatch, cfg, 2)
+        assert len(builds) == 1
+        serial, _ = _run_on(monkeypatch, dataclasses.replace(
+            self._cases()["classical-odd-n-nx3"], trials=4), 1)
+        assert split == serial and len(builds) == 2
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("failing", [{2}, {3}, {3, 4}])
