@@ -55,23 +55,19 @@ from .rates import (
 from .typicality import (
     TypicalSpec,
     encoding_failure_bound,
-    is_typical,
     rate_of_typical_set,
     typical_set_size,
 )
 from .empirical import (
     MonteCarloResult,
     SequencePair,
-    composition_sorted_rate,
     empirical_code_rate,
-    exact_composition_sequence,
     monte_carlo_t_c,
     sample_channel_outputs,
 )
 from .simulator import (
     SimConfig,
     SimResult,
-    pairwise_union_bound,
     run,
 )
 

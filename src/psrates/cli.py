@@ -42,6 +42,15 @@ def _parse_list(text, flag, kind=float):
         raise CliError(f"{flag}: expected comma-separated {what}, got {text!r}")
 
 
+def _number(text, flag, name, kind=float):
+    """kind(text), the selector field `name` of flag, or a CliError naming both."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise CliError(f"{flag}: {name} must be {what}, got {text!r}")
+
+
 def _seed(args):
     if args.seed < 0:
         raise CliError(f"--seed: must be non-negative, got {args.seed}")
@@ -77,26 +86,26 @@ def parse_channel(spec, **override):
     p = dict(zip(names, fields), **override)  # an overridden field counts as given
     if len(fields) > len(names) or len(p) < min(len(names), 2):  # CELLS, SPAN optional
         raise CliError(f"--channel: wrong number of fields in {spec!r}")
+    p = {k: _number(v, "--channel", k, int if k in ("m", "cells") else float) for k, v in p.items()}
     if family == "bsc":
-        return chmod.bsc(float(p["eps"]))
+        return chmod.bsc(p["eps"])
     if family == "mary":
-        return chmod.mary_symmetric(int(p["m"]), float(p["eps"]))
-    constellation = chmod.ask_constellation(int(p["m"]))
-    grid = chmod.GridSpec(int(p.get("cells", 512)), float(p.get("span", 8.0)))
-    return chmod.awgn_quantized(constellation, float(p["sigma"]), grid)
+        return chmod.mary_symmetric(p["m"], p["eps"])
+    constellation = chmod.ask_constellation(p["m"])
+    grid = chmod.GridSpec(p.get("cells", 512), p.get("span", 8.0))
+    return chmod.awgn_quantized(constellation, p["sigma"], grid)
 
 
 def parse_input(spec, ch):
     """uniform[:N] | mb:LAMBDA | comma list | JSON path, on the channel input."""
-    if spec == "uniform" or spec.startswith("uniform:"):
-        if ":" in spec and int(spec.split(":")[1]) != len(ch.input):
-            raise CliError(
-                f"--input: uniform size {spec.split(':')[1]} does not match "
-                f"channel input size {len(ch.input)}"
-            )
+    family, colon, text = spec.partition(":")
+    if family == "uniform":
+        if colon and _number(text, "--input", "uniform size", int) != len(ch.input):
+            raise CliError(f"--input: uniform size {text} does not match "
+                           f"channel input size {len(ch.input)}")
         return uniform_pmf(ch.input)
-    if spec.startswith("mb:"):
-        return chmod.maxwell_boltzmann_pmf(ch.input, float(spec[3:]))
+    if family == "mb" and colon:
+        return chmod.maxwell_boltzmann_pmf(ch.input, _number(text, "--input", "lambda"))
     if "," in spec or _is_number(spec):
         probs = _parse_list(spec, "--input")
         if len(probs) != len(ch.input):

@@ -40,26 +40,18 @@ class SequencePair:
             raise ValueError("sequences must be non-empty")
 
 
-def _per_term_rates(pair, q):
-    """(xi, terms, q_xy, col): the pair's input indices and, at each position
-    i, the code-rate term of (x_i, y_i), q(x_i,y_i) and sum_a q(a,y_i). The
-    column sums are taken over the whole table, as q.log2_ratio() takes
-    them, and then gathered."""
-    xi = q.input.indices(pair.x_seq)
-    yi = q.output.indices(pair.y_seq)
-    q_xy, col = q.q[xi, yi], q.q.sum(axis=0)[yi]
-    return xi, _log2_ratio(q_xy, col, len(q.input)), q_xy, col
-
-
 def empirical_code_rate(pair, q):
     """Empirical achievable code rate of one (x, y) pair in bits per symbol.
 
-    -inf when the metric vanishes at some transmitted position. The second
-    form log2|X| minus the empirical uncertainty is computed as a
-    cross-check.
+    -inf when the metric vanishes at some transmitted position. The column
+    sums are taken over the whole table, as q.log2_ratio() takes them, and
+    then gathered. The second form log2|X| minus the empirical uncertainty
+    is computed as a cross-check.
     """
-    _, terms, q_xy, col = _per_term_rates(pair, q)
-    t_hat = float(terms.mean())
+    xi = q.input.indices(pair.x_seq)
+    yi = q.output.indices(pair.y_seq)
+    q_xy, col = q.q[xi, yi], q.q.sum(axis=0)[yi]
+    t_hat = float(_log2_ratio(q_xy, col, len(q.input)).mean())
     if math.isinf(t_hat):
         return t_hat
     # alternative form: log2|X| - mean(-log2 q / sum_a q)
@@ -69,32 +61,9 @@ def empirical_code_rate(pair, q):
     return t_hat
 
 
-def composition_sorted_rate(pair, q):
-    """Per-input-symbol breakdown {symbol: (frequency, inner average)}.
-
-    The frequency-weighted recombination of the inner averages equals the
-    empirical code rate (algebraic identity).
-    """
-    xi, terms, _, _ = _per_term_rates(pair, q)
-    n = len(pair.x_seq)
-    out = {}
-    for a, symbol in enumerate(q.input.symbols):
-        sel = xi == a
-        cnt = int(sel.sum())
-        if cnt:
-            out[symbol] = (cnt / n, float(terms[sel].mean()))
-    return out
-
-
-def exact_composition_sequence(p_x, n, rng):
-    """Random permutation of the largest-remainder rounding of n * P_X."""
-    return rng.permutation(_composition(p_x, n))
-
-
 def _composition(p_x, n):
     """The largest-remainder rounding of n * P_X as n symbol indices in
-    increasing order."""
-    _check_block_length(n)
+    increasing order; the caller checks n."""
     target = p_x.probs * n
     base = np.floor(target).astype(int)
     short = n - base.sum()

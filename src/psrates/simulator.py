@@ -199,13 +199,6 @@ class TrialRecord:
     union_bound: float
 
 
-def pairwise_union_bound(pair, q, r_c):
-    """Union bound 2^(-n (T-hat - r_c)) on the conditional error, in [0,1]."""
-    if not r_c >= 0:
-        raise ValueError(f"code rate r_c must be non-negative, got {r_c}")
-    return _union_bound(empirical_code_rate(pair, q), len(pair.x_seq), r_c)
-
-
 def _union_bound(t_hat, n, r_c):
     # 2.0 ** e overflows for e >= 1024, so it is clipped first
     e = -n * (t_hat - r_c)

@@ -49,22 +49,12 @@ def _check_block_length(n):
         raise ValueError(f"block length n must be at least 1, got {n}")
 
 
-def is_typical(x_seq, spec):
-    """True iff every letter frequency lies within (1 +- eps) * P_X(a)."""
-    seq = list(x_seq)
-    if len(seq) != spec.n:
-        raise ValueError(f"sequence length {len(seq)} != {spec.n}")
-    alphabet = spec.p_x.alphabet
-    counts = np.bincount(alphabet.indices(seq), minlength=len(alphabet))
-    return is_typical_counts(counts, spec)
-
-
 def is_typical_counts(counts, spec):
     """True iff every count k_a has k_a / n within (1 +- eps) * P_X(a).
 
     counts[a] counts the a-th alphabet symbol in a length-n sequence, and is
     checked against spec.count_ranges. This is the one membership
-    predicate; is_typical counts a sequence's symbols and delegates here.
+    predicate: a caller with a sequence counts its symbols first.
     """
     return all(lo <= k <= hi for k, (lo, hi) in zip(counts, spec.count_ranges))
 

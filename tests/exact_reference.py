@@ -3,13 +3,23 @@
 The decoder counts a tie as an error, so these are the probabilities that
 some other codeword's metric is at least the transmitted one's. Each
 function works on floats, or exactly on fractions.Fraction arguments.
+is_typical is the typical-set membership rule of the exhaustive oracles.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from psrates import is_typical
+
+def is_typical(seq, spec):
+    """True iff the length-spec.n sequence seq has every letter frequency
+    k_a / n within (1 +- eps) * P_X(a): the membership rule applied to its
+    counts directly, independent of spec.count_ranges."""
+    seq, n, eps = list(seq), spec.n, spec.eps_typ
+    counts = [seq.count(a) for a in spec.p_x.alphabet.symbols]
+    if len(seq) != n or sum(counts) != n:
+        raise ValueError(f"not a length-{n} sequence over the alphabet: {seq}")
+    return all((1 - eps) * p <= k / n <= (1 + eps) * p for k, p in zip(counts, spec.p_x.probs))
 
 
 def classical_bsc_error(n, eps, m):

@@ -34,7 +34,6 @@ from psrates import (
     gmi,
     hard_decision_metric,
     hard_decision_rate,
-    is_typical,
     likelihood_metric,
     lm_rate,
     map_quantizer,

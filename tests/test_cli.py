@@ -775,15 +775,21 @@ class TestErrorHandling:
         assert err.startswith("error: lambda") and "RuntimeWarning" not in err
         assert caught == []
 
-    @pytest.mark.parametrize("channel", ["awgn-ask:8", "mary:4", "bsc:0.1,0.2",
-                                         "awgn-ask:8,0.5,512,8,1"])
-    def test_wrong_selector_field_count(self, capsys, channel):
-        code, out, err = run_cli(
-            capsys, "rates", "--channel", channel, "--input", "uniform",
-            "--metric", "likelihood",
-        )
+    SELECTOR_CASES = [
+        ("--channel", "awgn-ask:8"), ("--channel", "mary:4"), ("--channel", "bsc:0.1,0.2"),
+        ("--channel", "awgn-ask:8,0.5,512,8,1"),
+        # a field that does not convert names the flag, not Python's message
+        ("--channel", "bsc:x"), ("--channel", "awgn-ask:4,abc"), ("--channel", "mary:4.5,0.1"),
+        ("--channel", "awgn-ask:4,0.5,x"), ("--input", "uniform:x"), ("--input", "mb:x"),
+    ]
+
+    @pytest.mark.parametrize("flag, value", SELECTOR_CASES, ids=[v for _, v in SELECTOR_CASES])
+    def test_wrong_selector_field_count(self, capsys, flag, value):
+        argv = {"--channel": "bsc:0.1", "--input": "uniform", "--metric": "likelihood"}
+        argv[flag] = value
+        code, out, err = run_cli(capsys, "rates", *(t for kv in argv.items() for t in kv))
         assert code == 2 and out == ""
-        assert err.startswith("error: --channel:")
+        assert err.startswith(f"error: {flag}:")
 
     @pytest.mark.parametrize("flag, content", [
         ("--channel", {"input": {"symbols": [0, 1]}, "rows": [[0.9, 0.1], [0.1, 0.9]]}),

@@ -15,10 +15,8 @@ from psrates import (
     SequencePair,
     achievable_transmission_rate,
     bsc,
-    composition_sorted_rate,
     divergence,
     empirical_code_rate,
-    exact_composition_sequence,
     likelihood_metric,
     monte_carlo_t_c,
     posterior_metric,
@@ -27,6 +25,7 @@ from psrates import (
 )
 from psrates import channel, empirical
 from psrates.channel import GridSpec, ask_constellation, awgn_quantized
+from psrates.empirical import _composition
 
 
 class TestSequencePair:
@@ -66,13 +65,12 @@ class TestEmpiricalCodeRate:
         assert empirical_code_rate(SequencePair((0,), (1,)), q) == -math.inf
 
     def test_forms_disagreeing_raises(self, monkeypatch):
-        per_term = empirical._per_term_rates
+        log2_ratio = empirical._log2_ratio
 
-        def shifted(pair, q):
-            xi, terms, q_xy, col = per_term(pair, q)
-            return xi, terms + 1e-6, q_xy, col
+        def shifted(q_xy, col, nx):
+            return log2_ratio(q_xy, col, nx) + 1e-6
 
-        monkeypatch.setattr(empirical, "_per_term_rates", shifted)
+        monkeypatch.setattr(empirical, "_log2_ratio", shifted)
         q = likelihood_metric(bsc(0.11))
         with pytest.raises(NumericalCheckError, match="forms disagree"):
             empirical_code_rate(SequencePair((0, 1), (0, 0)), q)
@@ -93,56 +91,47 @@ class TestEmpiricalCodeRate:
 
 class TestCompositionSortedRate:
     def test_recombination_identity(self):
+        # the rate sorted by input symbol: the rates of the positions that
+        # send each symbol, weighted by its frequency, recombine to the
+        # whole pair's rate
         rng = np.random.default_rng(51)
         ch = bsc(0.2)
         q = likelihood_metric(ch)
         for _ in range(20):
-            x = tuple(rng.integers(0, 2, 16))
-            y = tuple(rng.integers(0, 2, 16))
-            pair = SequencePair(x, y)
-            breakdown = composition_sorted_rate(pair, q)
-            recombined = sum(f * inner for f, inner in breakdown.values())
+            x = rng.integers(0, 2, 16)
+            y = rng.integers(0, 2, 16)
+            recombined = 0.0
+            for a in (0, 1):
+                sel = x == a
+                if sel.any():
+                    inner = empirical_code_rate(SequencePair(x[sel], y[sel]), q)
+                    recombined += sel.mean() * inner
+            pair = SequencePair(tuple(x), tuple(y))
             assert recombined == pytest.approx(empirical_code_rate(pair, q), abs=1e-10)
-
-    def test_frequencies_sum_to_one(self):
-        q = likelihood_metric(bsc(0.3))
-        pair = SequencePair((0, 0, 0, 1), (0, 1, 0, 1))
-        breakdown = composition_sorted_rate(pair, q)
-        assert sum(f for f, _ in breakdown.values()) == pytest.approx(1.0)
-        assert breakdown[0][0] == pytest.approx(0.75)
-
-    def test_absent_symbols_omitted(self):
-        q = likelihood_metric(bsc(0.3))
-        breakdown = composition_sorted_rate(SequencePair((0, 0), (0, 1)), q)
-        assert set(breakdown) == {0}
 
 
 class TestExactComposition:
     def test_counts_match_rounding(self):
-        rng = np.random.default_rng(52)
         p = Pmf(Alphabet((0, 1, 2)), np.array([0.2, 0.3, 0.5]))
-        seq = exact_composition_sequence(p, 10, rng)
-        assert sorted(np.bincount(seq, minlength=3)) == [2, 3, 5]
+        assert _composition(p, 10).tolist() == [0] * 2 + [1] * 3 + [2] * 5
 
     def test_largest_remainder(self):
-        rng = np.random.default_rng(53)
         p = Pmf(Alphabet((0, 1)), np.array([0.26, 0.74]))
-        seq = exact_composition_sequence(p, 10, rng)
-        counts = np.bincount(seq, minlength=2)
+        counts = np.bincount(_composition(p, 10), minlength=2)
         # 2.6 and 7.4 -> the larger remainder gets the extra slot
         assert list(counts) == [3, 7]
 
     def test_length(self):
-        rng = np.random.default_rng(54)
         p = Pmf(Alphabet((0, 1, 2, 3)), np.array([0.1, 0.2, 0.3, 0.4]))
         for n in (1, 7, 23):
-            assert len(exact_composition_sequence(p, n, rng)) == n
+            assert len(_composition(p, n)) == n
 
     @pytest.mark.parametrize("n", [2.5, 1.0, 0, -3])
     def test_bad_length_rejected(self, n):
-        p = Pmf(Alphabet((0, 1)), np.array([0.5, 0.5]))
+        ch = bsc(0.1)
         with pytest.raises(ValueError, match="block length n"):
-            exact_composition_sequence(p, n, np.random.default_rng(0))
+            monte_carlo_t_c(uniform_pmf(ch.input), ch, likelihood_metric(ch), n, 1, 0,
+                            composition="exact")
 
 
 def comparison_count_sample(ch, x_idx, rng):
@@ -496,8 +485,8 @@ class TestMonteCarloTc:
 
 def reference_monte_carlo(p_x, ch, q, n, trials, rng_seed, composition):
     """(mean, std_error) of the Monte-Carlo loop gathering ratio[x, y] per
-    trial, with x from rng.choice or exact_composition_sequence and y from
-    searchsorted_sample."""
+    trial, with x from rng.choice or a permutation of _composition and y
+    from searchsorted_sample."""
     ratio = q.log2_ratio()
     values = np.empty(trials)
     for t in range(trials):
@@ -505,7 +494,7 @@ def reference_monte_carlo(p_x, ch, q, n, trials, rng_seed, composition):
         if composition == "iid":
             x = rng.choice(len(p_x.probs), size=n, p=p_x.probs)
         else:
-            x = exact_composition_sequence(p_x, n, rng)
+            x = rng.permutation(_composition(p_x, n))
         values[t] = ratio[x, searchsorted_sample(ch, x, rng)].mean()
     mean = float(values.mean())
     if trials < 2 or not np.isfinite(values).all():

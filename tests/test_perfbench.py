@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -59,3 +61,20 @@ def test_traced_pass_sees_expected_spans(capsys, workload):
     seen = {s.name for s in tracer.spans}
     missing = [name for name in _WORKLOADS.EXPECTED_SPANS[workload] if name not in seen]
     assert not missing, f"{workload}: spans missing from the traced pass: {missing}"
+
+
+def test_traced_names_are_public_functions():
+    # instrumented skips a TRACED name that its module lacks, so deleting or
+    # renaming a traced function would drop its span without a failure
+    spans = _perfbench_module("spans")
+    names = [f"{layer}.{attr}" for layer, attrs in spans.TRACED.items() for attr in attrs or ()]
+    names += [name for expected in _WORKLOADS.EXPECTED_SPANS.values() for name in expected]
+    bad = []
+    for name in names:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"psrates.{layer}")
+        obj = getattr(module, attr, None)
+        if not (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                and not attr.startswith("_")):
+            bad.append(name)
+    assert not bad, f"traced names that are not public psrates functions: {bad}"

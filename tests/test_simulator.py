@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from exact_reference import is_typical
 from psrates import (
     Alphabet,
     Dmc,
@@ -20,10 +21,8 @@ from psrates import (
     bsc,
     empirical_code_rate,
     encoding_failure_bound,
-    is_typical,
     likelihood_metric,
     mary_symmetric,
-    pairwise_union_bound,
     posterior_metric,
     run,
     sample_channel_outputs,
@@ -113,32 +112,30 @@ class TestSimConfig:
 
 
 class TestPairwiseUnionBound:
+    """The union bound 2^(-n (T-hat - r_c)) on the conditional error, in
+    [0, 1], as each trial computes it from the pair's empirical rate."""
+
     def test_formula(self):
         q = likelihood_metric(bsc(0.11))
         pair = SequencePair((0, 0, 1, 1), (0, 0, 1, 1))
         t_hat = 1 + math.log2(0.89)
         expected = min(1.0, 2.0 ** (-4 * (t_hat - 0.5)))
-        assert pairwise_union_bound(pair, q, 0.5) == pytest.approx(expected, rel=1e-12)
+        bound = simulator._union_bound(empirical_code_rate(pair, q), 4, 0.5)
+        assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_clipped_to_one(self):
         q = likelihood_metric(bsc(0.11))
         pair = SequencePair((0, 1), (1, 0))  # all positions flipped
-        assert pairwise_union_bound(pair, q, 1.0) == 1.0
+        assert simulator._union_bound(empirical_code_rate(pair, q), 2, 1.0) == 1.0
 
     def test_clipped_far_below_the_rate(self):
         # six positions score 1e-300, so T-hat is about -298 and the
         # exponent -n (T-hat - r_c) about 5,980, where 2.0 ** e overflows
         q = Metric(Alphabet((0, 1)), Alphabet((0, 1)), np.array([[1.0, 1e-300], [1e-300, 1.0]]))
         pair = SequencePair((0,) * 20, (1,) * 6 + (0,) * 14)
-        assert empirical_code_rate(pair, q) < -290
-        assert pairwise_union_bound(pair, q, 0.5) == 1.0
-
-    @pytest.mark.parametrize("r_c", [math.nan, -0.5])
-    def test_bad_rate_rejected(self, r_c):
-        q = likelihood_metric(bsc(0.11))
-        pair = SequencePair((0, 1), (1, 0))
-        with pytest.raises(ValueError, match="r_c"):
-            pairwise_union_bound(pair, q, r_c)
+        t_hat = empirical_code_rate(pair, q)
+        assert t_hat < -290
+        assert simulator._union_bound(t_hat, 20, 0.5) == 1.0
 
     def test_run_computes_t_hat_once_per_trial(self, monkeypatch):
         calls = []
@@ -157,7 +154,8 @@ class TestPairwiseUnionBound:
         assert len(calls) == 5
         assert all(calls.count(pair) == pairs.count(pair) for pair in pairs)
         for pair, rec in zip(pairs, res.per_trial):
-            assert rec.union_bound == pairwise_union_bound(pair, cfg.q, res.realized_r_c)
+            t_hat = empirical_code_rate(pair, cfg.q)
+            assert rec.union_bound == simulator._union_bound(t_hat, cfg.n, res.realized_r_c)
 
 
 class TestLayeredPs:
